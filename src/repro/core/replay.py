@@ -45,10 +45,12 @@ What a trace holds
   (``reduce_last_write``'s ``None``, buffer-address registrations) must
   match exactly.  Every precondition is checked before anything mutates —
   a mismatch is a clean miss and the window re-records;
-* the **observability tail**: phase spans, flow links, resource-monitor
-  samples, histogram observations (all window-relative, re-emitted shifted
-  so profiles, critical paths, and wait-state classification of a replayed
-  window match the recorded one), and metric counter deltas;
+* the **observability tail**: the window's rows of the phase-span,
+  flow-link and resource-sample columns, histogram observations (all
+  window-relative, re-emitted shifted as one block per column so profiles,
+  critical paths, and wait-state classification of a replayed window match
+  the recorded one, with no per-span objects built), and metric counter
+  deltas;
 * per-request **completion times and values**, plus the window duration, so
   ``engine.now`` advances through a replayed window exactly as recorded.
 
@@ -66,8 +68,6 @@ import numpy as np
 
 from repro.machine.memops import apply_batch
 from repro.obs.metrics import Histogram, TimeWeightedHistogram, _bucket_index
-from repro.obs.monitor import ResourceSample
-from repro.obs.spans import FlowLink, PhaseSpan
 from repro.obs.taxonomy import REQUEST
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -259,6 +259,18 @@ def _invocation_parity(invocation) -> tuple:
     )
 
 
+def _sample_at(timeline, index: int) -> tuple | None:
+    """Sample ``index`` of a resource timeline as a plain tuple (None if absent)."""
+    if index < 0:
+        return None
+    return (
+        timeline.times[index],
+        timeline.occupancy[index],
+        timeline.queued[index],
+        timeline.saturated[index],
+    )
+
+
 # ---------------------------------------------------------------------------
 # histogram tape: capture distribution observations during a recording
 # ---------------------------------------------------------------------------
@@ -306,8 +318,8 @@ class CompiledSchedule:
         metric_deltas: list[tuple],
         hist_events: list[tuple],
         span_tail: dict | None,
-        flow_tail: list[tuple],
-        monitor_tail: list[tuple],
+        flow_tail: dict | None,
+        monitor_tail: tuple | None,
         completions: list[tuple[float, typing.Any]],
     ) -> None:
         self.key = key
@@ -324,11 +336,18 @@ class CompiledSchedule:
         self.metric_deltas = metric_deltas
         #: (hub attr, instrument kind, rel_times, values) observation tapes.
         self.hist_events = hist_events
-        #: Columnar span tail (rel times as float64 arrays) or None.
+        #: Span columns of the window (``SpanStore`` fields; ``start`` and
+        #: ``end`` as window-relative float64 arrays, ``parent`` as offsets
+        #: into the tail or -1) plus ``members``: (row, start index) of the
+        #: request marker spans whose detail names the invocation.  None
+        #: when spans are not recorded.
         self.span_tail = span_tail
-        #: (kind, src_rank, rel_src, dst_rank, rel_dst, detail) links.
+        #: Flow columns of the window (``FlowStore`` fields, times
+        #: window-relative float64 arrays), or None.
         self.flow_tail = flow_tail
-        #: (name, resource kind, [(rel, occupancy, queued, saturated)]).
+        #: (window-relative times of every timeline's samples as one float64
+        #: array, [(name, kind, lo, hi, occupancy, queued, saturated)]), or
+        #: None without a monitor.
         self.monitor_tail = monitor_tail
         #: Per deferred start, in window order: (rel completion time, value).
         self.completions = completions
@@ -369,24 +388,6 @@ class CompiledSchedule:
                 )
             else:
                 self._hist_rows.append((attr, kind, tuple(zip(rel_times, values))))
-        #: Replay-ready row cache derived from the columnar span tail once
-        #: (Python scalars, positional order) — the apply loop's hot input.
-        self._span_rows: list[tuple] | None = None
-        if span_tail is not None:
-            self._span_rows = list(
-                zip(
-                    span_tail["names"],
-                    span_tail["rel_start"].tolist(),
-                    span_tail["rel_end"].tolist(),
-                    span_tail["ranks"].tolist(),
-                    span_tail["depths"].tolist(),
-                    span_tail["parent_offsets"].tolist(),
-                    span_tail["tracks"].tolist(),
-                    span_tail["details"],
-                    span_tail["request_members"].tolist(),
-                )
-            )
-
     @property
     def op_count(self) -> int:
         return len(self.ops)
@@ -464,50 +465,49 @@ class CompiledSchedule:
                         if value > instrument.max:
                             instrument.max = value
 
-        # 4. Observability tails, time-shifted to this window.
+        # 4. Observability tails, time-shifted to this window and appended
+        #    to the columnar stores as one block each.
         recorder = obs.recorder
-        if recorder.enabled and self._span_rows is not None:
-            span_list = recorder.spans
-            base = len(span_list)
-            append_span = span_list.append
-            index = base
-            for name, rel_start, rel_end, rank, depth, parent_off, track, detail, member in self._span_rows:
-                if member >= 0:
-                    detail = starts[member].request.describe()
-                span = PhaseSpan(
-                    index,
-                    rank,
-                    name,
-                    t0 + rel_start,
-                    depth,
-                    (base + parent_off) if parent_off >= 0 else -1,
-                    track,
-                    detail,
-                )
-                span.end = t0 + rel_end
-                append_span(span)
-                index += 1
-            append_flow = recorder.flows.append
-            for kind, src_rank, rel_src, dst_rank, rel_dst, detail in self.flow_tail:
-                append_flow(
-                    FlowLink(kind, src_rank, t0 + rel_src, dst_rank, t0 + rel_dst, detail)
-                )
+        spans = self.span_tail
+        if recorder.enabled and spans is not None:
+            store = recorder.spans
+            first_id = store.base + len(store)
+            offsets = spans["parent"]
+            details = spans["detail"]
+            if spans["members"]:
+                details = list(details)
+                for row, member in spans["members"]:
+                    details[row] = starts[member].request.describe()
+            store.extend_columns(
+                spans["rank"],
+                spans["name"],
+                (spans["start"] + t0).tolist(),
+                spans["depth"],
+                np.where(offsets >= 0, offsets + first_id, -1).tolist(),
+                spans["track"],
+                details,
+                (spans["end"] + t0).tolist(),
+            )
+            flows = self.flow_tail
+            recorder.flows.extend_columns(
+                flows["kind"],
+                flows["src_rank"],
+                (flows["src_ts"] + t0).tolist(),
+                flows["dst_rank"],
+                (flows["dst_ts"] + t0).tolist(),
+                flows["detail"],
+            )
         monitor = obs.monitor
-        if monitor is not None:
-            for name, kind, samples in self.monitor_tail:
+        if monitor is not None and self.monitor_tail is not None:
+            rel_times, timelines = self.monitor_tail
+            times = (rel_times + t0).tolist()
+            for name, kind, lo, hi, occupancy, queued, saturated in timelines:
                 timeline = monitor.register(name, kind)
-                # Boundary sample goes through record() (it may coalesce with
-                # the pre-window state); the rest of the tail is already
-                # coalesced and strictly time-increasing, so direct appends
-                # replicate record() exactly.
-                rel, occupancy, queued, saturated = samples[0]
-                timeline.record(t0 + rel, occupancy, queued, saturated)
-                series = timeline._samples
-                times = timeline._times
-                for rel, occupancy, queued, saturated in samples[1:]:
-                    when = t0 + rel
-                    series.append(ResourceSample(when, occupancy, queued, saturated))
-                    times.append(when)
+                # The boundary sample goes through record() (it may coalesce
+                # with the pre-window state); the rest of the tail is already
+                # coalesced and strictly time-increasing.
+                timeline.record(times[lo], occupancy[0], queued[0], saturated[0])
+                timeline.extend(times[lo + 1 : hi], occupancy[1:], queued[1:], saturated[1:])
 
         # 5. Completion events at the recorded relative times, plus a final
         #    quiescence timeout so the clock traverses the whole window.
@@ -553,12 +553,15 @@ class _Recording:
 
         obs = machine.obs
         recorder = obs.recorder
-        self.span_mark = len(recorder.spans)
-        self.flow_mark = len(recorder.flows)
-        self.monitor_marks: dict[str, int] = {}
+        # Marks are recording-order numbers (base + length), so a clear()
+        # inside the window is detected instead of misread as a short tail.
+        self.span_mark = recorder.spans.base + len(recorder.spans)
+        self.flow_mark = recorder.flows.base + len(recorder.flows)
+        #: Timeline name -> (sample count, last sample) at the boundary.
+        self.monitor_marks: dict[str, tuple[int, tuple | None]] = {}
         if obs.monitor is not None:
             for name, timeline in obs.monitor.timelines.items():
-                self.monitor_marks[name] = len(timeline._samples)
+                self.monitor_marks[name] = (len(timeline), _sample_at(timeline, len(timeline) - 1))
 
         self.pre_metrics: dict[str, float] = {}
         registry = obs.metrics
@@ -641,70 +644,80 @@ class _Recording:
             kind = "histogram" if isinstance(tape.real, Histogram) else "time_histogram"
             hist_events.append((attr, kind, rel_times, values))
 
-        # Span tail: window-relative columns with parents remapped.
+        # Span tail: the window's rows of every span column, times made
+        # window-relative and parents remapped to offsets into the tail.
         recorder = obs.recorder
         span_tail: dict | None = None
-        flow_tail: list[tuple] = []
+        flow_tail: dict | None = None
         if recorder.enabled:
-            tail_spans = recorder.spans[self.span_mark :]
+            store = recorder.spans
+            lo = self.span_mark - store.base
+            if lo < 0 or None in store.end[lo:]:
+                return None  # cleared mid-window, or a span still open
+            parents = np.array(store.parent[lo:], dtype=np.int64)
+            if np.any((parents >= 0) & (parents < self.span_mark)):
+                return None  # a span leaked across the window boundary
+            names = store.name[lo:]
+            details = store.detail[lo:]
             describe_map = {
                 start.request.describe(): index
                 for index, start in enumerate(self.starts)
             }
-            count = len(tail_spans)
-            rel_start = np.empty(count, dtype=np.float64)
-            rel_end = np.empty(count, dtype=np.float64)
-            ranks = np.empty(count, dtype=np.int32)
-            depths = np.empty(count, dtype=np.int32)
-            tracks = np.empty(count, dtype=np.int32)
-            parent_offsets = np.empty(count, dtype=np.int32)
-            request_members = np.empty(count, dtype=np.int32)
-            names: list[str] = []
-            details: list[str] = []
-            for i, span in enumerate(tail_spans):
-                if span.end is None or (span.parent >= 0 and span.parent < self.span_mark):
-                    return None  # a span leaked across the window boundary
-                rel_start[i] = span.start - t0
-                rel_end[i] = span.end - t0
-                ranks[i] = span.rank
-                depths[i] = span.depth
-                tracks[i] = span.track
-                parent_offsets[i] = span.parent - self.span_mark if span.parent >= 0 else -1
-                member = -1
-                if span.name == REQUEST:
-                    member = describe_map.get(span.detail, -1)
-                request_members[i] = member
-                names.append(span.name)
-                details.append(span.detail)
+            members = [
+                (row, describe_map[detail])
+                for row, (name, detail) in enumerate(zip(names, details))
+                if name == REQUEST and detail in describe_map
+            ]
             span_tail = {
-                "rel_start": rel_start,
-                "rel_end": rel_end,
-                "ranks": ranks,
-                "depths": depths,
-                "tracks": tracks,
-                "parent_offsets": parent_offsets,
-                "request_members": request_members,
-                "names": names,
-                "details": details,
+                "rank": store.rank[lo:],
+                "name": names,
+                "start": np.array(store.start[lo:], dtype=np.float64) - t0,
+                "depth": store.depth[lo:],
+                "parent": np.where(parents >= 0, parents - self.span_mark, -1),
+                "track": store.track[lo:],
+                "detail": details,
+                "end": np.array(store.end[lo:], dtype=np.float64) - t0,
+                "members": members,
             }
-            for link in recorder.flows[self.flow_mark :]:
-                flow_tail.append(
-                    (link.kind, link.src_rank, link.src_ts - t0, link.dst_rank, link.dst_ts - t0, link.detail)
-                )
+            flows = recorder.flows
+            lo = self.flow_mark - flows.base
+            if lo < 0:
+                return None  # cleared mid-window
+            flow_tail = {
+                "kind": flows.kind[lo:],
+                "src_rank": flows.src_rank[lo:],
+                "src_ts": np.array(flows.src_ts[lo:], dtype=np.float64) - t0,
+                "dst_rank": flows.dst_rank[lo:],
+                "dst_ts": np.array(flows.dst_ts[lo:], dtype=np.float64) - t0,
+                "detail": flows.detail[lo:],
+            }
 
-        monitor_tail: list[tuple] = []
+        monitor_tail: tuple | None = None
         if obs.monitor is not None:
+            rel_times: list[float] = []
+            timelines: list[tuple] = []
             for name, timeline in obs.monitor.timelines.items():
-                mark = self.monitor_marks.get(name, 0)
-                samples = timeline._samples[mark:]
-                if samples:
-                    monitor_tail.append(
-                        (
-                            name,
-                            timeline.kind,
-                            [(s.time - t0, s.occupancy, s.queued, s.saturated) for s in samples],
-                        )
+                mark, last = self.monitor_marks.get(name, (0, None))
+                if len(timeline) < mark or _sample_at(timeline, mark - 1) != last:
+                    # The window's first sample replaced or removed the
+                    # boundary sample: the tail alone cannot reproduce it.
+                    return None
+                if len(timeline) == mark:
+                    continue
+                lo = len(rel_times)
+                rel_times.extend(timeline.times[mark:])
+                timelines.append(
+                    (
+                        name,
+                        timeline.kind,
+                        lo,
+                        len(rel_times),
+                        timeline.occupancy[mark:],
+                        timeline.queued[mark:],
+                        timeline.saturated[mark:],
                     )
+                )
+            monitor_tail = (np.array(rel_times, dtype=np.float64) - t0, timelines)
 
         op_meta = np.empty(len(self.ops), dtype=[("kind", np.int8), ("nbytes", np.int64)])
         for i, (kind, dst, _a, _b, _op) in enumerate(self.ops):

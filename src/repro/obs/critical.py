@@ -26,10 +26,10 @@ a sample of it.
 from __future__ import annotations
 
 import bisect
-import typing
+import operator
 from dataclasses import dataclass
 
-from repro.obs.spans import FlowLink, PhaseRecorder, PhaseSpan
+from repro.obs.spans import FlowLink, FlowStore, PhaseRecorder
 from repro.obs.taxonomy import PUT_FLIGHT, UNTRACKED, WAIT_PHASES
 
 __all__ = ["CriticalPath", "Segment", "critical_path"]
@@ -103,33 +103,35 @@ class CriticalPath:
 
 
 class _RankIndex:
-    """Per-rank span lookup: innermost latest-starting span covering t."""
+    """Per-rank span lookup: innermost latest-starting span covering t.
 
-    def __init__(self, spans: list[PhaseSpan]) -> None:
-        #: Sorted by start time; ties broken by depth (deeper last).
-        self.spans = sorted(spans, key=lambda s: (s.start, s.depth))
-        self.starts = [span.start for span in self.spans]
+    Spans are ``(start, depth, end, name)`` rows read from the recorder's
+    columns.
+    """
 
-    def covering(self, t: float) -> PhaseSpan | None:
-        """The span with ``start < t <= end`` maximizing (start, depth)."""
-        # Spans are sorted by start; walk left from the first start >= t.
+    def __init__(self, rows: list[tuple[float, int, float, str]]) -> None:
+        #: Sorted by start time; ties broken by depth (deeper last), then
+        #: recording order.
+        self.rows = sorted(rows, key=operator.itemgetter(0, 1))
+        self.starts = [row[0] for row in self.rows]
+
+    def covering(self, t: float) -> tuple[float, int, float, str] | None:
+        """The row with ``start < t <= end`` maximizing (start, depth)."""
+        # Rows are sorted by start; walk left from the first start >= t.
         hi = bisect.bisect_left(self.starts, t)
-        best: PhaseSpan | None = None
         for i in range(hi - 1, -1, -1):
-            span = self.spans[i]
-            if span.end is not None and span.end >= t:
-                best = span
-                break
-        return best
+            row = self.rows[i]
+            if row[2] >= t:
+                return row
+        return None
 
     def previous_end(self, t: float) -> float | None:
         """The latest span end strictly before ``t`` (for gap hopping)."""
         best: float | None = None
-        for span in self.spans:
-            if span.start >= t:
+        for start, _depth, end, _name in self.rows:
+            if start >= t:
                 break
-            end = span.end
-            if end is not None and end < t and (best is None or end > best):
+            if end < t and (best is None or end > best):
                 best = end
         return best
 
@@ -137,23 +139,23 @@ class _RankIndex:
 class _FlowIndex:
     """Per-destination-rank flow lookup, sorted by arrival time."""
 
-    def __init__(self, flows: list[FlowLink]) -> None:
-        self._by_dst: dict[int, list[FlowLink]] = {}
-        for link in sorted(flows, key=lambda f: f.dst_ts):
-            self._by_dst.setdefault(link.dst_rank, []).append(link)
+    def __init__(self, flows: FlowStore) -> None:
+        self._flows = flows
+        self._by_dst = flows.by_destination()
 
     def releasing(self, rank: int, not_before: float, not_after: float) -> FlowLink | None:
         """The latest link into ``rank`` arriving in ``[not_before, not_after)``."""
-        links = self._by_dst.get(rank)
-        if not links:
+        positions = self._by_dst.get(rank)
+        if not positions:
             return None
+        dst_ts = self._flows.dst_ts
         # Latest arrival strictly before the cursor keeps the walk moving.
-        for link in reversed(links):
-            if link.dst_ts >= not_after:
+        for position in reversed(positions):
+            if dst_ts[position] >= not_after:
                 continue
-            if link.dst_ts < not_before:
+            if dst_ts[position] < not_before:
                 break
-            return link
+            return self._flows[position]
         return None
 
 
@@ -168,31 +170,33 @@ def critical_path(
     ``start`` / ``end`` default to the extent of the recorded spans.  Raises
     ``ValueError`` when nothing usable was recorded.
     """
-    spans = [span for span in recorder.spans if span.end is not None]
+    columns = recorder.spans
+    closed = [
+        row
+        for row in zip(columns.rank, columns.start, columns.end, columns.depth, columns.name)
+        if row[2] is not None
+    ]
     if start is None:
-        if not spans:
+        if not closed:
             raise ValueError("no closed phase spans recorded")
-        start = min(span.start for span in spans)
+        start = min(row[1] for row in closed)
     if end is None:
-        if not spans:
+        if not closed:
             raise ValueError("no closed phase spans recorded")
-        end = max(span.end for span in spans if span.end is not None)
+        end = max(row[2] for row in closed)
     if end < start:
         raise ValueError(f"critical_path window is inverted: [{start}, {end}]")
 
-    window = [
-        span for span in spans if span.end is not None and span.end > start and span.start < end
-    ]
-    grouped: dict[int, list[PhaseSpan]] = {}
-    for span in window:
-        grouped.setdefault(span.rank, []).append(span)
-    by_rank = {rank: _RankIndex(rank_spans) for rank, rank_spans in grouped.items()}
+    window = [row for row in closed if row[2] > start and row[1] < end]
+    grouped: dict[int, list[tuple[float, int, float, str]]] = {}
+    for rank, span_start, span_end, depth, name in window:
+        grouped.setdefault(rank, []).append((span_start, depth, span_end, name))
+    by_rank = {rank: _RankIndex(rows) for rank, rows in grouped.items()}
     flows = _FlowIndex(recorder.flows)
 
     # Start on the rank whose annotated activity ends last.
     if window:
-        last = max(window, key=lambda s: typing.cast(float, s.end))
-        rank = last.rank
+        rank = max(window, key=operator.itemgetter(2))[0]
     else:
         rank = 0
 
@@ -217,20 +221,21 @@ def critical_path(
             t = floor
             continue
 
-        span_start = max(span.start, start)
-        if span.name in WAIT_PHASES:
+        span_start = max(span[0], start)
+        name = span[3]
+        if name in WAIT_PHASES:
             link = flows.releasing(rank, span_start, t)
             if link is not None and link.src_ts < t - epsilon:
                 arrival = min(max(link.dst_ts, span_start), t)
                 # Detection tail: from the cause's arrival to the cursor.
-                attribute(rank, arrival, t, span.name)
+                attribute(rank, arrival, t, name)
                 # Transit: from the cause's issue to its arrival.
                 if arrival > link.src_ts:
                     attribute(link.src_rank, link.src_ts, arrival, PUT_FLIGHT)
                 rank = link.src_rank
                 t = min(link.src_ts, t)
                 continue
-        attribute(rank, span_start, t, span.name)
+        attribute(rank, span_start, t, name)
         t = span_start
 
     if t > start + epsilon:  # pragma: no cover - max_steps safety valve

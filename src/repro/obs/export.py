@@ -87,21 +87,25 @@ def chrome_trace(
 
     if include_phases:
         now = machine.engine.now
-        for span in recorder.spans:
-            end = span.end if span.end is not None else now
-            tracks_used[span.rank] = max(tracks_used.get(span.rank, 0), span.track)
-            args: dict = {"depth": span.depth, "track": span.track}
-            if span.detail:
-                args["detail"] = span.detail
+        spans = recorder.spans
+        for rank, name, start, depth, track, detail, end in zip(
+            spans.rank, spans.name, spans.start, spans.depth, spans.track, spans.detail, spans.end
+        ):
+            if end is None:
+                end = now
+            tracks_used[rank] = max(tracks_used.get(rank, 0), track)
+            args: dict = {"depth": depth, "track": track}
+            if detail:
+                args["detail"] = detail
             events.append(
                 {
-                    "name": span.name,
+                    "name": name,
                     "cat": "phase",
                     "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": (end - span.start) * 1e6,
+                    "ts": start * 1e6,
+                    "dur": (end - start) * 1e6,
                     "pid": 0,
-                    "tid": _tid(span.rank, span.track),
+                    "tid": _tid(rank, track),
                     "args": args,
                 }
             )
@@ -244,8 +248,8 @@ def metrics_dump(machine: "Machine", tracer: typing.Any | None = None) -> dict:
 
 def _flow_counts(machine: "Machine") -> dict[str, int]:
     counts: dict[str, int] = {}
-    for link in machine.obs.recorder.flows:
-        counts[link.kind] = counts.get(link.kind, 0) + 1
+    for kind in machine.obs.recorder.flows.kind:
+        counts[kind] = counts.get(kind, 0) + 1
     return counts
 
 

@@ -51,51 +51,121 @@ class ResourceTimeline:
 
     Each sample holds from its timestamp until the next sample; the last
     sample holds forever.  Consecutive identical states are coalesced and a
-    same-timestamp re-record replaces the previous sample, so the series is
-    strictly increasing in time with no redundant points.
+    same-timestamp re-record replaces the previous sample (or removes it,
+    when that restores the state before it), so the series is strictly
+    increasing in time with no redundant points.
+
+    Samples are stored as four append-only columns (``times``,
+    ``occupancy``, ``queued``, ``saturated``); :class:`ResourceSample`
+    objects are built only when :attr:`samples` or :meth:`state_at` is
+    read.
     """
 
-    __slots__ = ("name", "kind", "_times", "_samples")
+    __slots__ = ("name", "kind", "times", "occupancy", "queued", "saturated")
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
         #: ``"bandwidth"`` | ``"fifo"`` | ``"gate"``.
         self.kind = kind
-        self._times: list[float] = []
-        self._samples: list[ResourceSample] = []
+        self.times: list[float] = []
+        self.occupancy: list[int] = []
+        self.queued: list[int] = []
+        self.saturated: list[bool] = []
 
     def record(
         self, time: float, occupancy: int, queued: int, saturated: bool = False
     ) -> None:
         """Append one transition (coalescing no-ops and same-time updates)."""
-        samples = self._samples
-        if samples:
-            last = samples[-1]
+        times = self.times
+        if times:
+            last = len(times) - 1
             if (
-                last.occupancy == occupancy
-                and last.queued == queued
-                and last.saturated == saturated
+                self.occupancy[last] == occupancy
+                and self.queued[last] == queued
+                and self.saturated[last] == saturated
             ):
                 return
-            if last.time == time:
-                samples[-1] = ResourceSample(time, occupancy, queued, saturated)
+            if times[last] == time:
+                if (
+                    last
+                    and self.occupancy[last - 1] == occupancy
+                    and self.queued[last - 1] == queued
+                    and self.saturated[last - 1] == saturated
+                ):
+                    # Back to the state before the replaced sample.
+                    times.pop()
+                    self.occupancy.pop()
+                    self.queued.pop()
+                    self.saturated.pop()
+                else:
+                    self.occupancy[last] = occupancy
+                    self.queued[last] = queued
+                    self.saturated[last] = saturated
                 return
-        samples.append(ResourceSample(time, occupancy, queued, saturated))
-        self._times.append(time)
+        times.append(time)
+        self.occupancy.append(occupancy)
+        self.queued.append(queued)
+        self.saturated.append(saturated)
+
+    def extend(
+        self,
+        times: list[float],
+        occupancy: list[int],
+        queued: list[int],
+        saturated: list[bool],
+    ) -> None:
+        """Append a block of samples that is already coalesced, strictly
+        later than the last sample and different from its state."""
+        self.times.extend(times)
+        self.occupancy.extend(occupancy)
+        self.queued.extend(queued)
+        self.saturated.extend(saturated)
+
+    def __len__(self) -> int:
+        return len(self.times)
 
     # -- queries -------------------------------------------------------------
+
+    def _sample(self, index: int) -> ResourceSample:
+        return ResourceSample(
+            self.times[index],
+            self.occupancy[index],
+            self.queued[index],
+            self.saturated[index],
+        )
 
     @property
     def samples(self) -> list[ResourceSample]:
         """The recorded transitions, chronologically."""
-        return list(self._samples)
+        return list(map(ResourceSample, self.times, self.occupancy, self.queued, self.saturated))
 
     def state_at(self, time: float) -> ResourceSample | None:
         """The sample in effect at ``time`` (None before the first sample)."""
-        index = bisect.bisect_right(self._times, time) - 1
+        index = bisect.bisect_right(self.times, time) - 1
         if index < 0:
             return None
-        return self._samples[index]
+        return self._sample(index)
+
+    def _seconds_where(
+        self, start: float, end: float, matches: typing.Callable[[int], bool]
+    ) -> float:
+        """Total seconds in ``[start, end]`` whose sample index satisfies ``matches``."""
+        times = self.times
+        if end <= start or not times:
+            return 0.0
+        total = 0.0
+        index = max(0, bisect.bisect_right(times, start) - 1)
+        count = len(times)
+        while index < count:
+            seg_start = max(times[index], start)
+            seg_end = times[index + 1] if index + 1 < count else end
+            seg_end = min(seg_end, end)
+            if seg_end > seg_start and matches(index):
+                total += seg_end - seg_start
+            if seg_end >= end:
+                break
+            index += 1
+        return total
 
     def seconds_matching(
         self,
@@ -108,46 +178,32 @@ class ResourceTimeline:
         Time before the first sample counts as not matching (the resource
         did not exist / was idle).
         """
-        if end <= start or not self._samples:
-            return 0.0
-        total = 0.0
-        index = max(0, bisect.bisect_right(self._times, start) - 1)
-        times, samples = self._times, self._samples
-        count = len(samples)
-        while index < count:
-            sample = samples[index]
-            seg_start = max(sample.time, start)
-            seg_end = times[index + 1] if index + 1 < count else end
-            seg_end = min(seg_end, end)
-            if seg_end > seg_start and predicate(sample):
-                total += seg_end - seg_start
-            if seg_end >= end:
-                break
-            index += 1
-        return total
+        return self._seconds_where(start, end, lambda index: predicate(self._sample(index)))
 
     def contended_seconds(self, start: float, end: float) -> float:
         """Seconds in the window with >= 2 sharers on a saturated resource."""
-        return self.seconds_matching(
-            start, end, lambda s: s.occupancy >= 2 and s.saturated
+        occupancy, saturated = self.occupancy, self.saturated
+        return self._seconds_where(
+            start, end, lambda index: occupancy[index] >= 2 and saturated[index]
         )
 
     def queued_seconds(self, start: float, end: float) -> float:
         """Seconds in the window with at least one request queued."""
-        return self.seconds_matching(start, end, lambda s: s.queued >= 1)
+        queued = self.queued
+        return self._seconds_where(start, end, lambda index: queued[index] >= 1)
 
     def max_occupancy(self) -> int:
-        return max((s.occupancy for s in self._samples), default=0)
+        return max(self.occupancy, default=0)
 
     def max_queued(self) -> int:
-        return max((s.queued for s in self._samples), default=0)
+        return max(self.queued, default=0)
 
     def to_dict(self, until: float) -> dict:
         """Summary stats over ``[first sample, until]`` (JSON-ready)."""
-        first = self._samples[0].time if self._samples else until
+        first = self.times[0] if self.times else until
         return {
             "kind": self.kind,
-            "samples": len(self._samples),
+            "samples": len(self.times),
             "max_occupancy": self.max_occupancy(),
             "max_queued": self.max_queued(),
             "contended_seconds": self.contended_seconds(first, until),
@@ -157,7 +213,7 @@ class ResourceTimeline:
     def __repr__(self) -> str:
         return (
             f"<ResourceTimeline {self.name!r} kind={self.kind} "
-            f"samples={len(self._samples)}>"
+            f"samples={len(self.times)}>"
         )
 
 

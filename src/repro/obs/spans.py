@@ -15,6 +15,15 @@ by every layer of the stack:
   flag store → waiter wakeup — giving the cross-rank causal edges that the
   critical-path walker follows and that Perfetto draws as flow arrows.
 
+Both are kept in append-only **columnar stores** (:class:`SpanStore`,
+:class:`FlowStore`): one Python list per field, one row per span or link.
+Recording appends scalars to the columns; compiled replay appends a whole
+window's tail as one block.  :class:`PhaseSpan` and :class:`FlowLink`
+objects are built only when a consumer reads a row, so recording cost does
+not include object construction, and a run that only counts spans
+(``len(recorder.spans)``) builds none.  Analyses that scan every row
+(critical path, wait classification, export) read the columns directly.
+
 Recording never touches the event queue and never advances the clock, so an
 instrumented run is bit-identical to an uninstrumented one (asserted by
 ``tests/test_obs_invariance.py``).
@@ -22,6 +31,8 @@ instrumented run is bit-identical to an uninstrumented one (asserted by
 
 from __future__ import annotations
 
+import collections.abc
+import itertools
 import typing
 from dataclasses import dataclass
 
@@ -29,7 +40,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Task
     from repro.sim.engine import Engine
 
-__all__ = ["PhaseSpan", "FlowLink", "PhaseRecorder"]
+__all__ = ["PhaseSpan", "FlowLink", "SpanStore", "FlowStore", "PhaseRecorder"]
 
 
 class PhaseSpan:
@@ -47,16 +58,19 @@ class PhaseSpan:
         parent: int,
         track: int,
         detail: str = "",
+        end: float | None = None,
     ) -> None:
+        #: The span's id: unique and increasing per recorder, also across
+        #: :meth:`PhaseRecorder.clear`.
         self.index = index
         self.rank = rank
         self.name = name
         self.start = start
         #: ``None`` while the phase is still open.
-        self.end: float | None = None
+        self.end = end
         #: Nesting depth within this span's process (0 = outermost).
         self.depth = depth
-        #: Index of the enclosing span, or -1 for a root span.
+        #: Id of the enclosing span, or -1 for a root span.
         self.parent = parent
         #: Per-rank sub-track: 0 for the first process that recorded a phase
         #: on this rank (the program generator), 1.. for helper processes.
@@ -92,6 +106,143 @@ class FlowLink:
     detail: str = ""
 
 
+class _ColumnStore(collections.abc.Sequence):
+    """Parallel append-only lists, one per field; a row is built on read.
+
+    Subclasses name their columns in ``FIELDS`` (the row type's constructor
+    order) and build a row object in :meth:`_row`.  The store is a sequence
+    of row objects — ``len``, indexing, slicing, iteration — plus ``append``
+    and item assignment, which copy an object's fields into the columns.
+    """
+
+    FIELDS: typing.ClassVar[tuple[str, ...]] = ()
+    __slots__ = ("base",)
+
+    def __init__(self) -> None:
+        #: Rows dropped by :meth:`clear` so far; ``base + position`` is a
+        #: row's recording-order number.
+        self.base = 0
+        for field in self.FIELDS:
+            setattr(self, field, [])
+
+    def _columns(self) -> list[list]:
+        return [getattr(self, field) for field in self.FIELDS]
+
+    def _row(self, position: int) -> typing.Any:
+        raise NotImplementedError
+
+    def _position(self, index: int) -> int:
+        size = len(self)
+        position = index + size if index < 0 else index
+        if not 0 <= position < size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return position
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(position) for position in range(*index.indices(len(self)))]
+        return self._row(self._position(index))
+
+    def __setitem__(self, index: int, row: typing.Any) -> None:
+        position = self._position(index)
+        for field in self.FIELDS:
+            getattr(self, field)[position] = getattr(row, field)
+
+    def append(self, row: typing.Any) -> None:
+        for field in self.FIELDS:
+            getattr(self, field).append(getattr(row, field))
+
+    def extend_columns(self, *columns: typing.Iterable) -> None:
+        """Append a block of rows given column by column, in ``FIELDS`` order."""
+        for field, values in zip(self.FIELDS, columns, strict=True):
+            getattr(self, field).extend(values)
+
+    def clear(self) -> None:
+        """Drop every row; later rows keep counting from where these ended."""
+        self.base += len(self)
+        for column in self._columns():
+            column.clear()
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} rows={len(self)} base={self.base}>"
+
+
+class SpanStore(_ColumnStore):
+    """The recorder's phase spans, one column per :class:`PhaseSpan` field.
+
+    Row ``i`` is the span with id ``base + i``; ``parent`` holds span ids, so
+    a parent id below ``base`` names a span dropped by :meth:`clear`.
+    ``end`` is ``None`` while a span is open.  Appended or assigned spans
+    take the id of their position, whatever their ``index`` says.
+    """
+
+    FIELDS = ("rank", "name", "start", "depth", "parent", "track", "detail", "end")
+    __slots__ = FIELDS
+
+    def __len__(self) -> int:
+        return len(self.name)
+
+    def _row(self, position: int) -> PhaseSpan:
+        return PhaseSpan(
+            self.base + position,
+            self.rank[position],
+            self.name[position],
+            self.start[position],
+            self.depth[position],
+            self.parent[position],
+            self.track[position],
+            self.detail[position],
+            self.end[position],
+        )
+
+    def __iter__(self) -> typing.Iterator[PhaseSpan]:
+        return map(PhaseSpan, itertools.count(self.base), *self._columns())
+
+    def row_of(self, span_id: int) -> int:
+        """The row holding span ``span_id``, or -1 when no row does.
+
+        -1 covers a root's parent (-1), a span dropped by :meth:`clear` and
+        an id not recorded yet.
+        """
+        position = span_id - self.base
+        return position if span_id >= 0 and 0 <= position < len(self) else -1
+
+
+class FlowStore(_ColumnStore):
+    """The recorder's flow links, one column per :class:`FlowLink` field."""
+
+    FIELDS = ("kind", "src_rank", "src_ts", "dst_rank", "dst_ts", "detail")
+    __slots__ = FIELDS
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def _row(self, position: int) -> FlowLink:
+        return FlowLink(
+            self.kind[position],
+            self.src_rank[position],
+            self.src_ts[position],
+            self.dst_rank[position],
+            self.dst_ts[position],
+            self.detail[position],
+        )
+
+    def __iter__(self) -> typing.Iterator[FlowLink]:
+        return map(FlowLink, *self._columns())
+
+    def by_destination(self) -> dict[int, list[int]]:
+        """Row positions per destination rank, sorted by arrival time.
+
+        Ties keep recording order (the sort is stable).
+        """
+        dst_ts = self.dst_ts
+        dst_rank = self.dst_rank
+        grouped: dict[int, list[int]] = {}
+        for position in sorted(range(len(dst_ts)), key=dst_ts.__getitem__):
+            grouped.setdefault(dst_rank[position], []).append(position)
+        return grouped
+
+
 class _PhaseContext:
     """Context manager opening/closing one span around a ``yield from``."""
 
@@ -104,14 +255,13 @@ class _PhaseContext:
         self._rank = rank
         self._name = name
         self._detail = detail
-        self._span: PhaseSpan | None = None
+        self._span = -1
 
-    def __enter__(self) -> PhaseSpan:
+    def __enter__(self) -> int:
         self._span = self._recorder._open_span(self._rank, self._name, self._detail)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        assert self._span is not None
         self._recorder._close_span(self._rank, self._span)
         return None
 
@@ -137,28 +287,28 @@ class PhaseRecorder:
     def __init__(self, engine: "Engine", enabled: bool = True) -> None:
         self.engine = engine
         self.enabled = enabled
-        self.spans: list[PhaseSpan] = []
-        self.flows: list[FlowLink] = []
-        #: Open-span stacks keyed by (rank, process identity).
-        self._stacks: dict[tuple[int, int], list[PhaseSpan]] = {}
+        self.spans = SpanStore()
+        self.flows = FlowStore()
+        #: Open-span id stacks keyed by (rank, process identity).
+        self._stacks: dict[tuple[int, int], list[int]] = {}
         #: Export sub-track per (rank, process identity).
         self._tracks: dict[tuple[int, int], int] = {}
         self._next_track: dict[int, int] = {}
 
     # -- recording -----------------------------------------------------------
 
-    def _process_key(self, rank: int) -> tuple[int, int]:
-        active = self.engine.active_process
-        return (rank, id(active) if active is not None else 0)
-
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
-        """A context manager recording one phase of ``task``."""
+        """A context manager recording one phase of ``task``.
+
+        Entering it returns the new span's id (``None`` when disabled).
+        """
         if not self.enabled:
             return _NULL_CONTEXT
         return _PhaseContext(self, task.rank, name, detail)
 
-    def _open_span(self, rank: int, name: str, detail: str = "") -> PhaseSpan:
-        key = self._process_key(rank)
+    def _open_span(self, rank: int, name: str, detail: str = "") -> int:
+        active = self.engine.active_process
+        key = (rank, id(active) if active is not None else 0)
         stack = self._stacks.get(key)
         if stack is None:
             stack = []
@@ -168,31 +318,33 @@ class PhaseRecorder:
             track = self._next_track.get(rank, 0)
             self._next_track[rank] = track + 1
             self._tracks[key] = track
-        parent = stack[-1].index if stack else -1
-        span = PhaseSpan(
-            index=len(self.spans),
-            rank=rank,
-            name=name,
-            start=self.engine.now,
-            depth=len(stack),
-            parent=parent,
-            track=track,
-            detail=detail,
-        )
-        self.spans.append(span)
-        stack.append(span)
-        return span
+        spans = self.spans
+        span_id = spans.base + len(spans.name)
+        spans.rank.append(rank)
+        spans.name.append(name)
+        spans.start.append(self.engine.now)
+        spans.depth.append(len(stack))
+        spans.parent.append(stack[-1] if stack else -1)
+        spans.track.append(track)
+        spans.detail.append(detail)
+        spans.end.append(None)
+        stack.append(span_id)
+        return span_id
 
-    def _close_span(self, rank: int, span: PhaseSpan) -> None:
-        span.end = self.engine.now
-        key = self._process_key(rank)
+    def _close_span(self, rank: int, span_id: int) -> None:
+        spans = self.spans
+        position = span_id - spans.base
+        if position >= 0:  # otherwise clear() dropped the span while open
+            spans.end[position] = self.engine.now
+        active = self.engine.active_process
+        key = (rank, id(active) if active is not None else 0)
         stack = self._stacks.get(key)
-        if stack and stack[-1] is span:
+        if stack and stack[-1] == span_id:
             stack.pop()
             if not stack:
                 del self._stacks[key]
-        elif stack and span in stack:  # pragma: no cover - defensive
-            stack.remove(span)
+        elif stack and span_id in stack:  # pragma: no cover - defensive
+            stack.remove(span_id)
 
     def flow(
         self,
@@ -206,39 +358,51 @@ class PhaseRecorder:
         """Record a causal edge (no-op when disabled)."""
         if not self.enabled:
             return
-        self.flows.append(FlowLink(kind, src_rank, src_ts, dst_rank, dst_ts, detail))
+        flows = self.flows
+        flows.kind.append(kind)
+        flows.src_rank.append(src_rank)
+        flows.src_ts.append(src_ts)
+        flows.dst_rank.append(dst_rank)
+        flows.dst_ts.append(dst_ts)
+        flows.detail.append(detail)
 
     # -- queries -------------------------------------------------------------
 
     def closed_spans(self, start: float | None = None, end: float | None = None) -> list[PhaseSpan]:
         """Closed spans overlapping ``[start, end]`` (default: all closed)."""
-        out = []
-        for span in self.spans:
-            if span.end is None:
-                continue
-            if start is not None and span.end < start:
-                continue
-            if end is not None and span.start > end:
-                continue
-            out.append(span)
-        return out
+        spans = self.spans
+        return [
+            spans[position]
+            for position, (span_start, span_end) in enumerate(zip(spans.start, spans.end))
+            if span_end is not None
+            and (start is None or span_end >= start)
+            and (end is None or span_start <= end)
+        ]
 
     def ranks(self) -> list[int]:
-        return sorted({span.rank for span in self.spans})
+        return sorted(set(self.spans.rank))
 
     def by_phase(self) -> dict[str, float]:
         """Total closed-span seconds per phase name (inclusive of children)."""
         totals: dict[str, float] = {}
-        for span in self.spans:
-            if span.end is None:
+        spans = self.spans
+        for name, start, end in zip(spans.name, spans.start, spans.end):
+            if end is None:
                 continue
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
+            totals[name] = totals.get(name, 0.0) + (end - start)
         return totals
 
     def clear(self) -> None:
-        """Drop all recorded spans and flows (open stacks survive)."""
-        self.spans = []
-        self.flows = []
+        """Drop all recorded spans and flows.
+
+        Open stacks survive: a span open across the clear still nests the
+        spans opened after it, but it is gone from :attr:`spans` and closing
+        it records nothing.  Span ids keep increasing across the clear, so a
+        child's ``parent`` never names a newer span — it names the dropped
+        one, for which :meth:`SpanStore.row_of` returns -1.
+        """
+        self.spans.clear()
+        self.flows.clear()
 
     def __repr__(self) -> str:
         return (

@@ -50,7 +50,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import Machine
     from repro.obs.critical import CriticalPath
     from repro.obs.monitor import ResourceMonitor, ResourceTimeline
-    from repro.obs.spans import FlowLink
+    from repro.obs.spans import FlowLink, FlowStore
 
 __all__ = ["WaitInterval", "WaitReport", "classify_waits"]
 
@@ -170,13 +170,13 @@ class WaitReport:
 class _FlowsByRank:
     """Per-destination-rank flow lookup, sorted by arrival time."""
 
-    def __init__(self, flows: list["FlowLink"]) -> None:
-        self._links: dict[int, list["FlowLink"]] = {}
-        self._times: dict[int, list[float]] = {}
-        for link in sorted(flows, key=lambda f: f.dst_ts):
-            self._links.setdefault(link.dst_rank, []).append(link)
-        for rank, links in self._links.items():
-            self._times[rank] = [link.dst_ts for link in links]
+    def __init__(self, flows: "FlowStore") -> None:
+        self._flows = flows
+        self._positions = flows.by_destination()
+        self._times = {
+            rank: [flows.dst_ts[position] for position in positions]
+            for rank, positions in self._positions.items()
+        }
 
     def releasing(self, rank: int, start: float, end: float) -> "FlowLink | None":
         """The latest link into ``rank`` arriving within ``[start, end]``."""
@@ -186,7 +186,7 @@ class _FlowsByRank:
         index = bisect.bisect_right(times, end) - 1
         if index < 0 or times[index] < start:
             return None
-        return self._links[rank][index]
+        return self._flows[self._positions[rank][index]]
 
 
 def _node_bandwidth(
@@ -239,11 +239,16 @@ def classify_waits(
     """
     recorder = machine.obs.recorder
     monitor = machine.obs.monitor
-    spans = [span for span in recorder.spans if span.end is not None]
+    columns = recorder.spans
+    closed = [
+        row
+        for row in zip(columns.name, columns.rank, columns.start, columns.end, columns.parent)
+        if row[3] is not None
+    ]
     if start is None:
-        start = min((span.start for span in spans), default=0.0)
+        start = min((row[2] for row in closed), default=0.0)
     if end is None:
-        end = max((typing.cast(float, span.end) for span in spans), default=0.0)
+        end = max((row[3] for row in closed), default=0.0)
     eps = 1e-12 * max(1.0, abs(end))
 
     # Critical-path wait segments per (rank, phase) for overlap marking.
@@ -261,24 +266,25 @@ def classify_waits(
     node_of = machine.spec.node_of
 
     intervals: list[WaitInterval] = []
-    for span in spans:
-        if span.name not in WAIT_PHASES:
+    for name, rank, span_start, span_end, parent in closed:
+        if name not in WAIT_PHASES:
             continue
-        if span.end <= start + eps or span.start >= end - eps:
+        if span_end <= start + eps or span_start >= end - eps:
             continue
-        s = max(span.start, start)
-        e = min(typing.cast(float, span.end), end)
+        s = max(span_start, start)
+        e = min(span_end, end)
         if e - s <= 0:
             continue
-        rank = span.rank
+        # Walk up to the nearest non-wait ancestor; parent ids always
+        # decrease, and a parent dropped by ``clear()`` ends the walk.
         context = "-"
-        parent = span.parent
-        while parent >= 0:
-            parent_span = recorder.spans[parent]
-            if parent_span.name not in WAIT_PHASES:
-                context = parent_span.name
+        row = columns.row_of(parent)
+        while row >= 0:
+            parent_name = columns.name[row]
+            if parent_name not in WAIT_PHASES:
+                context = parent_name
                 break
-            parent = parent_span.parent
+            row = columns.row_of(columns.parent[row])
 
         state = WAIT_UNATTRIBUTED
         resource: str | None = None
@@ -324,7 +330,7 @@ def classify_waits(
                         resource = best.name
 
         on_critical = False
-        for seg_start, seg_end in critical_segments.get((rank, span.name), ()):
+        for seg_start, seg_end in critical_segments.get((rank, name), ()):
             if min(seg_end, e) - max(seg_start, s) > eps:
                 on_critical = True
                 break
@@ -334,7 +340,7 @@ def classify_waits(
                 rank=rank,
                 start=s,
                 end=e,
-                phase=span.name,
+                phase=name,
                 context=context,
                 state=state,
                 resource=resource,

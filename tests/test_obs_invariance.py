@@ -9,6 +9,7 @@ to an instrumented run.
 import re
 
 import numpy as np
+import pytest
 
 from repro.core.srm import SRM
 from repro.machine import ClusterSpec
@@ -139,40 +140,117 @@ def _window_spans(recorder, t0, t1):
     return normalized
 
 
-def test_replayed_window_reemits_recorded_observability():
-    """Phase spans, critical-path breakdown, and wait classification of a
-    replayed window match the recorded run it was compiled from (shifted to
-    the replay window's start; invocation numbers normalized)."""
+def _persistent_plans(srm, machine, op):
+    """One plan per rank of ``op``; each window rewrites the inputs."""
+    total = machine.spec.total_tasks
+    if op == "broadcast":
+        buffers = {r: np.zeros(2048, np.uint8) for r in range(total)}
+        plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+        return plans, lambda window: buffers[0].fill(window + 1)
+    sources = {r: np.zeros(256) for r in range(total)}
+    outs = {r: np.zeros(256) for r in range(total)}
+
+    def refill(window):
+        for r in range(total):
+            sources[r][:] = window + r
+
+    if op == "reduce":
+        plans = [
+            srm.plan_reduce(machine.task(r), sources[r], outs[0] if r == 0 else None, SUM, root=0)
+            for r in range(total)
+        ]
+    elif op == "allreduce":
+        plans = [
+            srm.plan_allreduce(machine.task(r), sources[r][:1], outs[r][:1], SUM)
+            for r in range(total)
+        ]
+    else:
+        plans = [srm.plan_barrier(machine.task(r)) for r in range(total)]
+    return plans, refill
+
+
+def _window_flows(recorder, lo, hi, t0):
+    return [
+        (
+            link.kind,
+            link.src_rank,
+            round(link.src_ts - t0, 9),
+            link.dst_rank,
+            round(link.dst_ts - t0, 9),
+            re.sub(r"#\d+", "#N", link.detail),
+        )
+        for link in recorder.flows[lo:hi]
+    ]
+
+
+def _window_samples(monitor, before, after, t0):
+    """Per resource: the samples recorded during one window, time-shifted."""
+    return {
+        name: [
+            (round(sample.time - t0, 9), sample.occupancy, sample.queued, sample.saturated)
+            for sample in timeline.samples[before.get(name, 0) : after[name]]
+        ]
+        for name, timeline in monitor.timelines.items()
+    }
+
+
+@pytest.mark.parametrize("op", ["broadcast", "reduce", "allreduce", "barrier"])
+def test_replayed_window_reemits_recorded_observability(op):
+    """Phase spans, flow links, resource samples, critical-path breakdown,
+    and wait classification of a replayed window match the recorded run it
+    was compiled from (shifted to the replay window's start; invocation
+    numbers normalized).  The four plans are a 2 KB broadcast, a 2 KB
+    reduce, an 8 B allreduce and a barrier."""
     from repro.core import SRMConfig
     from repro.obs.critical import critical_path
     from repro.obs.waits import classify_waits
 
     machine = Machine(ClusterSpec(nodes=2, tasks_per_node=2))
     srm = SRM(machine, config=SRMConfig(compiled_replay=True))
-    total = machine.spec.total_tasks
-    buffers = {r: np.zeros(2048, np.uint8) for r in range(total)}
-    plans = [srm.plan_broadcast(machine.task(r), buffers[r], root=0) for r in range(total)]
+    plans, refill = _persistent_plans(srm, machine, op)
+    recorder = machine.obs.recorder
+    monitor = machine.obs.monitor
+
+    def marks():
+        return (
+            len(recorder.flows),
+            {name: len(timeline) for name, timeline in monitor.timelines.items()},
+        )
 
     manager = None
-    windows = []  # (t0, t1, was_hit)
+    windows = []  # (t0, t1, was_hit, marks before, marks after)
     for window in range(8):
-        buffers[0][:] = window + 1
+        refill(window)
         t0 = machine.engine.now
         hits_before = machine.engine.trace.hit_count if machine.engine.trace else 0
+        before = marks()
         for plan in plans:
             plan.start()
         machine.engine.run()
         manager = machine.engine.trace
-        windows.append((t0, machine.engine.now, manager.hit_count > hits_before))
+        windows.append(
+            (t0, machine.engine.now, manager.hit_count > hits_before, before, marks())
+        )
 
     # Pick a recorded (miss) window and a replayed (hit) window of the same
     # slot parity — the replay applied exactly that recorded trace.
-    recorded = max(i for i, (_, _, hit) in enumerate(windows) if not hit)
+    recorded = max(i for i, window in enumerate(windows) if not window[2])
     replayed = max(
-        i for i, (_, _, hit) in enumerate(windows) if hit and i % 2 == recorded % 2
+        i for i, window in enumerate(windows) if window[2] and i % 2 == recorded % 2
     )
-    rec_t0, rec_t1, _ = windows[recorded]
-    rep_t0, rep_t1, _ = windows[replayed]
+    rec_t0, rec_t1, _, rec_before, rec_after = windows[recorded]
+    rep_t0, rep_t1, _, rep_before, rep_after = windows[replayed]
+
+    # Same flow links and per-resource monitor samples, time-shifted.
+    rec_flows = _window_flows(recorder, rec_before[0], rec_after[0], rec_t0)
+    rep_flows = _window_flows(recorder, rep_before[0], rep_after[0], rep_t0)
+    if op != "barrier":
+        assert rec_flows, "recorded window produced no flow links"
+    assert rec_flows == rep_flows
+    rec_samples = _window_samples(monitor, rec_before[1], rec_after[1], rec_t0)
+    rep_samples = _window_samples(monitor, rep_before[1], rep_after[1], rep_t0)
+    assert any(rec_samples.values()), "recorded window produced no resource samples"
+    assert rec_samples == rep_samples
 
     # Same wall of phase spans, time-shifted.
     recorder = machine.obs.recorder

@@ -337,6 +337,26 @@ def test_gate_timeline_records_parked_waiters():
     assert timeline.queued_seconds(0.0, 3.0) == pytest.approx(3.0)
 
 
+def test_timeline_same_time_update_back_to_previous_state_coalesces():
+    # A@0, B@1, then A@1: the same-time update restores the state before B,
+    # so the B sample goes away instead of leaving a redundant A@1.
+    timeline = ResourceMonitor(Engine()).register("bus", "bandwidth")
+    timeline.record(0.0, 1, 0, False)
+    timeline.record(1.0, 2, 0, True)
+    timeline.record(1.0, 1, 0, False)
+    assert timeline.samples == [ResourceSample(0.0, 1, 0, False)]
+    # A later transition still appends normally.
+    timeline.record(2.0, 0, 0, False)
+    assert timeline.samples == [
+        ResourceSample(0.0, 1, 0, False),
+        ResourceSample(2.0, 0, 0, False),
+    ]
+    # A same-time update to a new state replaces the last sample.
+    timeline.record(2.0, 3, 1, True)
+    assert timeline.samples[-1] == ResourceSample(2.0, 3, 1, True)
+    assert len(timeline) == 2
+
+
 def test_unmonitored_resources_record_nothing():
     engine = Engine()
     resource = FifoResource(engine, capacity=1, name="dma")
