@@ -1,8 +1,7 @@
 """Benchmark harness: stack builders, timed runs, sweep grids, reporting,
 the parallel grid executor (``repro.bench.pool``), telemetry snapshots
 (``repro.bench.snapshot``), the perf regression gate (``repro.bench.regress``),
-figure-shape assertions (``repro.bench.shapes``), and the kernel wall-clock
-self-benchmark (``repro.bench.selfbench``)."""
+and figure-shape assertions (``repro.bench.shapes``)."""
 
 from repro.bench.pool import resolve_jobs, run_grid
 from repro.bench.report import format_bytes, format_us, print_table, table

@@ -27,14 +27,14 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
+from repro import envelope
 from repro.bench.report import format_bytes
-from repro.bench.snapshot import SCHEMA_VERSION, cell_key
+from repro.bench.snapshot import cell_key
 from repro.errors import ConfigurationError
 from repro.obs.diff import diff_cells
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "DIFF_KIND",
     "SchemaMismatchError",
     "CellDelta",
     "RegressionReport",
@@ -42,9 +42,6 @@ __all__ = [
     "diff_document",
     "format_report",
 ]
-
-#: Document marker for the differential-analysis artifact (``--diff-out``).
-DIFF_KIND = "repro-trace-diff"
 
 #: Relative slowdown tolerated before a cell counts as a regression (5%).
 DEFAULT_TOLERANCE = 0.05
@@ -158,11 +155,12 @@ def compare_snapshots(
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
     base_version = baseline.get("schema_version")
     cand_version = candidate.get("schema_version")
-    if base_version != SCHEMA_VERSION or cand_version != SCHEMA_VERSION:
+    expected = envelope.KINDS[envelope.SNAPSHOT]
+    if base_version != expected.version or cand_version != expected.version:
         raise SchemaMismatchError(
             f"snapshot schema mismatch: baseline v{base_version}, candidate "
-            f"v{cand_version}, this tool speaks v{SCHEMA_VERSION} — "
-            f"regenerate the stale snapshot with 'python -m repro bench'"
+            f"v{cand_version}, this tool speaks v{expected.version} — "
+            f"regenerate the stale snapshot with '{expected.command}'"
         )
 
     report = RegressionReport(tolerance=tolerance)
@@ -231,16 +229,18 @@ def diff_document(baseline: dict, candidate: dict, report: RegressionReport) -> 
         key = (delta.operation, delta.stack, delta.nbytes, delta.nodes)
         trace = diff_cells(base_cells[key], cand_cells[key])
         cells.append({"key": list(key), "status": delta.status, **trace.to_dict()})
-    return {
-        "kind": DIFF_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "baseline_label": baseline.get("label"),
-        "candidate_label": candidate.get("label"),
-        "tolerance": report.tolerance,
-        "ok": report.ok,
-        "compared": len(report.cells),
-        "cells": cells,
-    }
+    return envelope.stamp(
+        envelope.TRACE_DIFF,
+        f"{baseline.get('label')}..{candidate.get('label')}",
+        {
+            "baseline_label": baseline.get("label"),
+            "candidate_label": candidate.get("label"),
+            "tolerance": report.tolerance,
+            "ok": report.ok,
+            "compared": len(report.cells),
+            "cells": cells,
+        },
+    )
 
 
 def _identity_drift(base: dict, cand: dict, prefix: str = "") -> list[str]:

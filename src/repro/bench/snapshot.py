@@ -14,9 +14,10 @@ artifact: for every (operation, stack, size, nodes) cell it records
   name the *cause* — "+340 us of bandwidth-contention on ``bus[0]`` during
   ``ring-step``".
 
-Cells are emitted sorted by ``(operation, stack, nbytes, nodes)`` and every
-map inside a cell is key-sorted, so two runs of an identical tree serialize
-byte-identically: a snapshot diff is a measurement diff.
+Cells are emitted sorted by ``(operation, stack, nbytes, nodes)`` and the
+document is written and loaded through :mod:`repro.envelope` (sorted keys),
+so two runs of an identical tree serialize byte-identically: a snapshot
+diff is a measurement diff.
 
 The default grid is the *quick bench grid* — the figure quick grid capped at
 1 MB, because an 8 MB cell costs ~1 wall-minute each and a perf gate that
@@ -26,11 +27,10 @@ full paper grid, 8 MB included.
 
 from __future__ import annotations
 
-import json
 import typing
 import zlib
 
-from repro.bench.export import bench_identity, identity_fingerprint
+from repro import envelope
 from repro.bench.pool import run_grid
 from repro.bench.runner import OPERATIONS, build, looped_program, operation_body
 from repro.bench.sweeps import MB, full_grid, message_sizes, processor_configs
@@ -40,23 +40,13 @@ from repro.obs.critical import critical_path
 from repro.obs.waits import classify_waits
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "SNAPSHOT_KIND",
     "bench_sizes",
     "bench_nodes",
     "cell_key",
     "cell_seed",
     "capture_cell",
     "collect_snapshot",
-    "write_snapshot",
-    "load_snapshot",
 ]
-
-#: Bump on any incompatible change to the snapshot document layout.
-SCHEMA_VERSION = 1
-
-#: Document marker, so a stray JSON file is rejected with a clear error.
-SNAPSHOT_KIND = "repro-bench-snapshot"
 
 #: Cap for the quick gate grid: 8 MB cells cost ~1 wall-minute each.
 _QUICK_SIZE_CAP = MB
@@ -199,41 +189,18 @@ def collect_snapshot(
 
     cells = run_grid(specs, _capture_worker, jobs=jobs, progress=pool_progress)
     cells.sort(key=cell_key)
-    identity = bench_identity(tasks_per_node=tasks_per_node)
-    return {
-        "kind": SNAPSHOT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "identity": identity,
-        "fingerprint": identity_fingerprint(identity),
-        "grid": {
-            "sizes": sizes,
-            "nodes": nodes_axis,
-            "operations": sorted(operations),
-            "stacks": sorted(stacks),
-            "full": full_grid(),
+    return envelope.stamp(
+        envelope.SNAPSHOT,
+        label,
+        {
+            "grid": {
+                "sizes": sizes,
+                "nodes": nodes_axis,
+                "operations": sorted(operations),
+                "stacks": sorted(stacks),
+                "full": full_grid(),
+            },
+            "cells": cells,
         },
-        "cells": cells,
-    }
-
-
-def write_snapshot(path: str, snapshot: dict) -> None:
-    """Serialize a snapshot ('-' writes to stdout)."""
-    text = json.dumps(snapshot, indent=1, sort_keys=True)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
-def load_snapshot(path: str) -> dict:
-    """Load and structurally validate a snapshot document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    if not isinstance(snapshot, dict) or snapshot.get("kind") != SNAPSHOT_KIND:
-        raise ConfigurationError(f"{path} is not a {SNAPSHOT_KIND} document")
-    for field in ("schema_version", "label", "identity", "cells"):
-        if field not in snapshot:
-            raise ConfigurationError(f"{path} is missing snapshot field {field!r}")
-    return snapshot
+        tasks_per_node=tasks_per_node,
+    )

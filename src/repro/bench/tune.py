@@ -18,8 +18,8 @@ staging capacity raised to the probe size), so the sweep explores choices
 the paper's thresholds would never make; candidates with no such hook that
 stay inapplicable (the ring families on one node) are skipped.
 
-The artifact reuses the ``bench.snapshot`` serialization discipline —
-sorted keys, the same cost-model identity fingerprint — so a tuned table
+The artifact carries the shared :mod:`repro.envelope` stamp — sorted-key
+serialization, the same cost-model identity fingerprint — so a tuned table
 records *which machine* it was measured on, and a later ``TunedPolicy``
 user can detect a stale table by comparing fingerprints.
 
@@ -34,15 +34,13 @@ import typing
 
 import numpy as np
 
-from repro.bench.export import bench_identity, identity_fingerprint
+from repro import envelope
 from repro.bench.pool import run_grid
 from repro.bench.runner import OPERATIONS, looped_program, operation_body
-from repro.bench.snapshot import bench_nodes, bench_sizes, write_snapshot
+from repro.bench.snapshot import bench_nodes, bench_sizes
 from repro.bench.sweeps import KB, full_grid
 from repro.core import SRM, SRMConfig
 from repro.core.dispatch import (
-    TUNED_TABLE_KIND,
-    TUNED_TABLE_SCHEMA_VERSION,
     FixedPolicy,
     SelectionEnv,
     TunedPolicy,
@@ -214,23 +212,22 @@ def collect_table(
                 rows_by_nodes[str(nodes)] = rows
         if rows_by_nodes:
             table[operation] = rows_by_nodes
-    identity = bench_identity(tasks_per_node=tasks_per_node)
-    return {
-        "kind": TUNED_TABLE_KIND,
-        "schema_version": TUNED_TABLE_SCHEMA_VERSION,
-        "label": label,
-        "identity": identity,
-        "fingerprint": identity_fingerprint(identity),
-        "grid": {
-            "sizes": list(sizes),
-            "nodes": list(nodes_axis),
-            "operations": sorted(operations),
-            "tasks_per_node": tasks_per_node,
-            "full": full_grid(),
+    return envelope.stamp(
+        envelope.TUNED_TABLE,
+        label,
+        {
+            "grid": {
+                "sizes": list(sizes),
+                "nodes": list(nodes_axis),
+                "operations": sorted(operations),
+                "tasks_per_node": tasks_per_node,
+                "full": full_grid(),
+            },
+            "table": table,
+            "cells": cells,
         },
-        "table": table,
-        "cells": cells,
-    }
+        tasks_per_node=tasks_per_node,
+    )
 
 
 def run_tune(
@@ -264,5 +261,5 @@ def run_tune(
         )
     TunedPolicy(document)  # must load, whatever else happens
     if not dry_run:
-        write_snapshot(out, document)
+        envelope.write(out, document)
     return document

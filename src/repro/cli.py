@@ -22,9 +22,6 @@ Commands
 ``bench --json-out BENCH_head.json [--label head] [--full] [--jobs N]``
     Run the snapshot grid and write one schema-versioned telemetry snapshot
     (latencies + metrics + critical-path breakdown per cell).
-``bench --self [--json-out KERNEL_selfbench.json]``
-    Measure the simulator kernel's wall-clock throughput (events/second)
-    and optionally record it as a JSON artifact.
 
 Grid-shaped commands (``bench``, ``regress`` fresh runs, ``tune``,
 ``export``, ``figures``) accept ``--jobs N`` to fan their independent grid
@@ -227,9 +224,10 @@ def _profile_diff(args: argparse.Namespace, machine, result) -> int:
 
     target = args.diff
     if os.path.exists(target) or target.endswith(".json"):
-        from repro.bench.snapshot import capture_cell, cell_seed, load_snapshot
+        from repro import envelope
+        from repro.bench.snapshot import capture_cell, cell_seed
 
-        snapshot = load_snapshot(target)
+        snapshot = envelope.load(target, envelope.SNAPSHOT)
         key = (args.op, args.stack, args.bytes, args.nodes)
         cells = {
             (c["operation"], c["stack"], c["nbytes"], c["nodes"]): c
@@ -362,10 +360,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
-    if args.self_bench:
-        return _cmd_bench_self(args)
-
-    from repro.bench.snapshot import collect_snapshot, write_snapshot
+    from repro import envelope
+    from repro.bench.snapshot import collect_snapshot
 
     if args.full:
         os.environ["REPRO_BENCH_FULL"] = "1"
@@ -378,54 +374,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         label=args.label, operations=operations, progress=progress,
         jobs=args.jobs,
     )
-    write_snapshot(json_out, snapshot)
+    envelope.write(json_out, snapshot)
     if json_out != "-":
         print(
             f"wrote {len(snapshot['cells'])} cells to {json_out} "
             f"(schema v{snapshot['schema_version']}, identity {snapshot['fingerprint']})"
         )
-    return 0
-
-
-def _cmd_bench_self(args: argparse.Namespace) -> int:
-    """``bench --self``: kernel events/second, tracked instead of folklore."""
-    import json
-
-    from repro.bench.selfbench import kernel_selfbench
-
-    document = kernel_selfbench(compiled_replay=not args.no_replay)
-    print(
-        f"kernel throughput: {document['events_per_second']:,.0f} events/s "
-        f"(best of {document['workload']['repeats']} runs, "
-        f"{document['events']} events each)"
-    )
-    replay = document["persistent_replay"]
-    print(
-        f"persistent replay: {replay['replay_ns_per_start']:,.0f} ns/start vs "
-        f"{replay['blocking_ns_per_start']:,.0f} ns blocking setup "
-        f"({replay['amortization_speedup']:.1f}x amortization, "
-        f"{replay['starts']} starts of {replay['nbytes']} B broadcasts)"
-    )
-    compiled = document["compiled_replay"]
-    if compiled is None:
-        print("compiled replay: skipped (--no-replay)")
-    else:
-        drift = "identical" if compiled["cells_identical"] else "DRIFT DETECTED"
-        print(
-            f"compiled replay: {compiled['events_per_second_effective']:,.0f} "
-            f"effective events/s vs {compiled['events_per_second_slow']:,.0f} slow "
-            f"({compiled['speedup']:.1f}x, {compiled['replay_hits']} hits / "
-            f"{compiled['replay_misses']} misses, "
-            f"{compiled['nbytes']} B allreduce windows, digests {drift})"
-        )
-    if args.json_out:
-        text = json.dumps(document, indent=1, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote kernel self-benchmark to {args.json_out}")
     return 0
 
 
@@ -446,19 +400,19 @@ def _write_regression_trace(cell, path: str) -> None:
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
+    from repro import envelope
     from repro.bench.regress import compare_snapshots, diff_document, format_report
     from repro.bench.shapes import check_shapes, format_shape_results
-    from repro.bench.snapshot import collect_snapshot, load_snapshot, write_snapshot
-    from repro.obs.export import write_json
+    from repro.bench.snapshot import collect_snapshot
 
-    baseline = load_snapshot(args.baseline)
+    baseline = envelope.load(args.baseline, envelope.SNAPSHOT)
     if args.candidate is not None:
-        candidate = load_snapshot(args.candidate)
+        candidate = envelope.load(args.candidate, envelope.SNAPSHOT)
     else:
         print("no --candidate given; running the snapshot grid now", flush=True)
         candidate = collect_snapshot(label="head", jobs=args.jobs)
         if args.json_out:
-            write_snapshot(args.json_out, candidate)
+            envelope.write(args.json_out, candidate)
             print(f"wrote fresh candidate snapshot to {args.json_out}")
 
     report = compare_snapshots(baseline, candidate, tolerance=args.tolerance)
@@ -468,7 +422,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     shapes_ok = all(result.ok for result in shapes)
 
     if args.diff_out:
-        write_json(args.diff_out, diff_document(baseline, candidate, report))
+        envelope.write(args.diff_out, diff_document(baseline, candidate, report))
         print(f"wrote differential trace analysis to {args.diff_out}")
     if args.trace_out:
         if report.regressions:
@@ -479,7 +433,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             print("no regressions; skipping --trace-out")
 
     if args.update:
-        write_snapshot(args.baseline, candidate)
+        envelope.write(args.baseline, candidate)
         print(f"updated baseline {args.baseline} from the candidate snapshot")
         return 0
     return 0 if report.ok and shapes_ok else 1
@@ -548,8 +502,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro import envelope
     from repro.obs.metrics import MetricsRegistry
-    from repro.verify import build_report, run_mutation_smoke, run_verify, write_report
+    from repro.verify import run_mutation_smoke, run_verify
     from repro.verify.runner import VERIFY_OPERATIONS, default_grid, quick_grid
 
     progress = None
@@ -558,9 +513,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.smoke:
         body = run_mutation_smoke(seed=args.seed, progress=progress)
-        report = build_report(body, label=args.label)
         if args.json_out:
-            write_report(args.json_out, report)
+            envelope.write(
+                args.json_out,
+                envelope.stamp(envelope.VERIFY_REPORT, args.label, {"body": body}),
+            )
             if args.json_out != "-":
                 print(f"wrote mutation-smoke report to {args.json_out}")
         detected = sum(1 for result in body["mutations"] if result["detected"])
@@ -590,13 +547,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         explorer=args.explorer,
         seed=args.seed,
         faults=not args.no_faults,
-        srm_config=SRMConfig(compiled_replay=False) if args.no_replay else None,
         metrics=metrics,
         progress=progress,
     )
-    report = build_report(body, label=args.label)
     if args.json_out:
-        write_report(args.json_out, report)
+        envelope.write(
+            args.json_out,
+            envelope.stamp(envelope.VERIFY_REPORT, args.label, {"body": body}),
+        )
         if args.json_out != "-":
             print(f"wrote verification report to {args.json_out}")
     totals = body["totals"]
@@ -842,23 +800,12 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     )
     bench.add_argument(
         "--json-out", default=None,
-        help="output path ('-' = stdout; default BENCH_head.json, "
-        "or nothing for --self)",
+        help="output path ('-' = stdout; default BENCH_head.json)",
     )
     bench.add_argument("--label", default="head", help="label stored in the snapshot")
     bench.add_argument("--ops", default="broadcast,reduce,allreduce,barrier")
     bench.add_argument("--full", action="store_true", help="use the full paper grid")
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
-    bench.add_argument(
-        "--self", dest="self_bench", action="store_true",
-        help="measure kernel wall-clock throughput (events/second) instead "
-        "of running the grid",
-    )
-    bench.add_argument(
-        "--no-replay", dest="no_replay", action="store_true",
-        help="escape hatch: skip the compiled-schedule replay scenario "
-        "(with --self)",
-    )
     add_jobs(bench)
     bench.set_defaults(handler=_cmd_bench)
 
@@ -969,11 +916,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     )
     verify.add_argument("--label", default="head", help="label stored in the report")
     verify.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
-    verify.add_argument(
-        "--no-replay", dest="no_replay", action="store_true",
-        help="escape hatch: disable compiled-schedule replay "
-        "(SRMConfig.compiled_replay=False) for every cell",
-    )
     verify.set_defaults(handler=_cmd_verify)
 
     info = commands.add_parser("info", help="dump cost model + SRM configuration")

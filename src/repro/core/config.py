@@ -58,8 +58,8 @@ class SRMConfig:
     manage_interrupts: bool = True
     #: Record persistent-plan windows as compiled schedules and replay
     #: repeated (plan, parity) windows with the vectorized kernel
-    #: (:mod:`repro.core.replay`).  ``False`` (the ``--no-replay`` escape
-    #: hatch) always re-drives the engine's processes and generators.
+    #: (:mod:`repro.core.replay`).  ``False`` always re-drives the
+    #: engine's processes and generators.
     compiled_replay: bool = True
 
     def __post_init__(self) -> None:

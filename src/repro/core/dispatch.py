@@ -47,6 +47,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from repro import envelope
 from repro.core.config import SRMConfig
 from repro.errors import ConfigurationError
 from repro.obs.calib import DecisionRecord
@@ -72,16 +73,9 @@ __all__ = [
     "Dispatcher",
     "lookup_variant",
     "predict_terms",
-    "TUNED_TABLE_KIND",
-    "TUNED_TABLE_SCHEMA_VERSION",
 ]
 
 KB = 1024
-
-#: Document marker + schema version of the ``repro tune`` decision-table
-#: artifact (serialized like a bench snapshot: sorted keys, indent 1).
-TUNED_TABLE_KIND = "repro-tuned-policy"
-TUNED_TABLE_SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +672,6 @@ class TunedPolicy(SelectionPolicy):
         document: typing.Mapping[str, typing.Any],
         fallback: SelectionPolicy | None = None,
     ) -> None:
-        if document.get("kind") != TUNED_TABLE_KIND:
-            raise ConfigurationError(
-                f"not a {TUNED_TABLE_KIND} document (kind={document.get('kind')!r})"
-            )
-        version = document.get("schema_version")
-        if version != TUNED_TABLE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"tuned-policy schema mismatch: document v{version}, this "
-                f"tool speaks v{TUNED_TABLE_SCHEMA_VERSION} — re-run "
-                f"'python -m repro tune'"
-            )
         table = document.get("table")
         if not isinstance(table, dict) or not table:
             raise ConfigurationError("tuned-policy document has no decision table")
@@ -716,34 +699,29 @@ class TunedPolicy(SelectionPolicy):
     def load(cls, path: str, fallback: SelectionPolicy | None = None) -> "TunedPolicy":
         """Load a decision table emitted by ``python -m repro tune``.
 
-        Tables carry the cost-model identity fingerprint they were measured
-        under; when it differs from this build's fingerprint the table's
-        switch points are stale, so the load warns (naming both fingerprints
-        and the file) instead of silently proceeding.
+        The file must pass :func:`repro.envelope.load`.  Tables carry the
+        cost-model identity fingerprint they were measured under; when it
+        differs from this build's fingerprint the table's switch points are
+        stale, so the load warns (naming both fingerprints and the file)
+        instead of silently proceeding.
         """
-        import json
+        import warnings
 
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        recorded = document.get("fingerprint")
-        if recorded is not None:
-            import warnings
+        from repro.bench.export import bench_identity, identity_fingerprint
 
-            from repro.bench.export import bench_identity, identity_fingerprint
-
-            identity = document.get("identity") or {}
-            live = identity_fingerprint(
-                bench_identity(tasks_per_node=identity.get("tasks_per_node", 16))
+        document = envelope.load(path, envelope.TUNED_TABLE)
+        recorded = document["fingerprint"]
+        tasks_per_node = document["identity"].get("tasks_per_node", 16)
+        live = identity_fingerprint(bench_identity(tasks_per_node=tasks_per_node))
+        if live != recorded:
+            warnings.warn(
+                f"tuned table {path!r} was measured under cost-model "
+                f"fingerprint {recorded} but this build fingerprints as "
+                f"{live}; its switch points may be stale — re-run "
+                f"'python -m repro tune'",
+                UserWarning,
+                stacklevel=2,
             )
-            if live != recorded:
-                warnings.warn(
-                    f"tuned table {path!r} was measured under cost-model "
-                    f"fingerprint {recorded} but this build fingerprints as "
-                    f"{live}; its switch points may be stale — re-run "
-                    f"'python -m repro tune'",
-                    UserWarning,
-                    stacklevel=2,
-                )
         return cls(document, fallback=fallback)
 
     def select(self, env: SelectionEnv) -> str:

@@ -281,14 +281,6 @@ class PersistentCollective:
         #: so stale traces can never match a rebound plan.
         self._generation = 0
 
-    def prepare_start(self) -> tuple[InvocationState, ProcessGenerator]:
-        """The per-start work minus process spawn: reserve a window and
-        build the body generator.  Exposed so the selfbench can time the
-        setup path without running a simulation."""
-        invocation = self._reserve()
-        invocation.sequence = self.ctx.next_invocation(self.task.rank)
-        return invocation, self._body(invocation)
-
     def start(self) -> CollectiveRequest:
         """Begin one invocation; returns its request handle.
 
@@ -299,7 +291,9 @@ class PersistentCollective:
         records) the slow path.  Starts issued from inside a running
         process always spawn immediately, exactly as before.
         """
-        invocation, body = self.prepare_start()
+        invocation = self._reserve()
+        invocation.sequence = self.ctx.next_invocation(self.task.rank)
+        body = self._body(invocation)
         self.starts += 1
         if self.ctx.config.compiled_replay:
             manager = manager_for(self.task.engine)

@@ -42,11 +42,10 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from repro import envelope
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "CALIBRATION_KIND",
-    "CALIBRATION_SCHEMA_VERSION",
     "DEFAULT_FIXED_CHOICES",
     "PAPER_SWITCH_POINTS",
     "QUICK_SIZES",
@@ -58,10 +57,6 @@ __all__ = [
     "run_calibrate",
     "validate_calibration_report",
 ]
-
-#: Document marker + schema version of the ``repro calibrate`` artifact.
-CALIBRATION_KIND = "repro-calibration-report"
-CALIBRATION_SCHEMA_VERSION = 1
 
 #: The scorecard's policy line-up.  ``fixed`` is the no-switching strawman:
 #: one always-applicable variant per operation, the ablation FixedPolicy.
@@ -320,23 +315,18 @@ def _emulated_selection(policy: typing.Any, paper: typing.Any, env: typing.Any) 
     return chosen
 
 
-def _winners_table(cells: list[dict], label: str) -> dict:
-    """A tuned-policy document built from this calibration's own winners
-    (the best-in-hindsight table — its regret on this grid is zero by
-    construction, which is exactly the property the scorecard states)."""
-    from repro.core.dispatch import TUNED_TABLE_KIND, TUNED_TABLE_SCHEMA_VERSION
-
+def _winners_table(cells: list[dict]) -> dict:
+    """The decision table of this calibration's own winners, in the form
+    :class:`TunedPolicy` takes (the best-in-hindsight table — its regret on
+    this grid is zero by construction, which is exactly the property the
+    scorecard states).  It never leaves the process, so it carries no
+    envelope."""
     table: dict[str, dict[str, list]] = {}
     for cell in cells:
         rows_by_nodes = table.setdefault(cell["operation"], {})
         rows = rows_by_nodes.setdefault(str(cell["nodes"]), [])
         rows.append([cell["nbytes"], cell["best"], cell["best_us"]])
-    return {
-        "kind": TUNED_TABLE_KIND,
-        "schema_version": TUNED_TABLE_SCHEMA_VERSION,
-        "label": label,
-        "table": table,
-    }
+    return {"table": table}
 
 
 def collect_calibration(
@@ -358,7 +348,6 @@ def collect_calibration(
     external decision table; by default the ``tuned`` scorecard row uses the
     best-in-hindsight table of this very grid (zero regret by construction).
     """
-    from repro.bench.export import bench_identity, identity_fingerprint
     from repro.bench.pool import run_grid
     from repro.bench.snapshot import bench_nodes, bench_sizes
     from repro.bench.sweeps import full_grid
@@ -514,7 +503,7 @@ def collect_calibration(
     tuned_source = tuned_document
     trained_on_grid = tuned_source is None
     if tuned_source is None:
-        tuned_source = _winners_table(cells, label=f"{label}-winners")
+        tuned_source = _winners_table(cells)
     policies = {
         "paper": paper,
         "cost": CostModelPolicy(),
@@ -646,28 +635,27 @@ def collect_calibration(
 
     headlines = _headlines(cells, model_error, regret, crossovers, per_op_nodes)
 
-    identity = bench_identity(tasks_per_node=tasks_per_node)
-    return {
-        "kind": CALIBRATION_KIND,
-        "schema_version": CALIBRATION_SCHEMA_VERSION,
-        "label": label,
-        "identity": identity,
-        "fingerprint": identity_fingerprint(identity),
-        "grid": {
-            "sizes": list(sizes),
-            "nodes": list(nodes_axis),
-            "operations": sorted(operations),
-            "tasks_per_node": tasks_per_node,
-            "repeats": repeats,
-            "full": full_grid(),
+    return envelope.stamp(
+        envelope.CALIBRATION_REPORT,
+        label,
+        {
+            "grid": {
+                "sizes": list(sizes),
+                "nodes": list(nodes_axis),
+                "operations": sorted(operations),
+                "tasks_per_node": tasks_per_node,
+                "repeats": repeats,
+                "full": full_grid(),
+            },
+            "terms": list(COST_TERMS) + ["other"],
+            "cells": cells,
+            "model_error": model_error,
+            "regret": regret,
+            "crossovers": crossovers,
+            "headlines": headlines,
         },
-        "terms": list(COST_TERMS) + ["other"],
-        "cells": cells,
-        "model_error": model_error,
-        "regret": regret,
-        "crossovers": crossovers,
-        "headlines": headlines,
-    }
+        tasks_per_node=tasks_per_node,
+    )
 
 
 def _headlines(
@@ -752,17 +740,8 @@ def _headlines(
 
 def validate_calibration_report(document: typing.Mapping[str, typing.Any]) -> None:
     """Raise :class:`ConfigurationError` unless ``document`` is a
-    structurally valid schema-v1 calibration report (CI gates on this)."""
-    if document.get("kind") != CALIBRATION_KIND:
-        raise ConfigurationError(
-            f"not a {CALIBRATION_KIND} document (kind={document.get('kind')!r})"
-        )
-    version = document.get("schema_version")
-    if version != CALIBRATION_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"calibration-report schema mismatch: document v{version}, this "
-            f"tool speaks v{CALIBRATION_SCHEMA_VERSION}"
-        )
+    structurally valid calibration report (CI gates on this).  The
+    envelope's kind and version are checked by :func:`repro.envelope.load`."""
     for key in (
         "label", "identity", "fingerprint", "grid", "terms",
         "cells", "model_error", "regret", "crossovers", "headlines",
@@ -824,10 +803,7 @@ def validate_calibration_report(document: typing.Mapping[str, typing.Any]) -> No
 
 def load_calibration_report(path: str) -> dict:
     """Load and validate a calibration report written by ``repro calibrate``."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    document = envelope.load(path, envelope.CALIBRATION_REPORT)
     validate_calibration_report(document)
     return document
 
@@ -847,14 +823,15 @@ def run_calibrate(
     smallest multi-node shape, 4 tasks/node, one repeat) — small enough for
     a PR gate, wide enough to span the 8 KB and 16 KB §2.4 switch points.
     The report is validated against the schema before anything is written;
-    a violation raises instead of producing a malformed artifact.
+    a violation raises instead of producing a malformed artifact.  A
+    ``tuned_table`` is loaded through :meth:`TunedPolicy.load` before the
+    sweep, so a bad or stale table is reported before any cell is measured.
     """
     tuned_document = None
     if tuned_table is not None:
-        import json
+        from repro.core.dispatch import TunedPolicy
 
-        with open(tuned_table, "r", encoding="utf-8") as handle:
-            tuned_document = json.load(handle)
+        tuned_document = TunedPolicy.load(tuned_table).document
     if quick:
         from repro.bench.snapshot import bench_nodes
 
@@ -879,7 +856,5 @@ def run_calibrate(
         )
     validate_calibration_report(document)
     if out is not None:
-        from repro.bench.snapshot import write_snapshot
-
-        write_snapshot(out, document)
+        envelope.write(out, document)
     return document

@@ -24,13 +24,6 @@ from repro.verify.explorer import ScheduleOutcome, dfs_choice_sequences, explore
 from repro.verify.faults import FaultPlan
 from repro.verify.invariants import Verifier, Violation
 from repro.verify.mutations import MUTATIONS, apply_mutation
-from repro.verify.report import (
-    REPORT_SCHEMA,
-    SCHEMA_VERSION,
-    build_report,
-    load_report,
-    write_report,
-)
 from repro.verify.runner import (
     Cell,
     default_grid,
@@ -53,9 +46,4 @@ __all__ = [
     "quick_grid",
     "run_verify",
     "run_mutation_smoke",
-    "REPORT_SCHEMA",
-    "SCHEMA_VERSION",
-    "build_report",
-    "load_report",
-    "write_report",
 ]

@@ -28,7 +28,7 @@ import typing
 
 import numpy as np
 
-from repro.core import SRM, SRMConfig
+from repro.core import SRM
 from repro.errors import ReproError, VerificationError
 from repro.machine import ClusterSpec, CostModel, Machine
 from repro.mpi.ops import SUM
@@ -322,7 +322,6 @@ def run_cell_once(
     cell: Cell,
     scheduler: Scheduler | None,
     fault_plan: FaultPlan | None = None,
-    srm_config: SRMConfig | None = None,
 ) -> ScheduleOutcome:
     """Execute ``cell`` once under ``scheduler`` (+ optional faults).
 
@@ -339,7 +338,7 @@ def run_cell_once(
     if fault_plan is not None:
         fault_plan.reset()
         machine.engine.faults = fault_plan
-    srm = SRM(machine, config=srm_config)
+    srm = SRM(machine)
     total = spec.total_tasks
     count = max(1, cell.nbytes // 8)
 
@@ -471,18 +470,17 @@ def run_cell(
     explorer: str = "random",
     seed: int = 0,
     faults: bool = True,
-    srm_config: SRMConfig | None = None,
 ) -> dict[str, typing.Any]:
     """Verify one cell; returns its JSON-ready report entry.
 
     The reference run (default scheduler, no faults) anchors the expected
     digest; every explored schedule must be clean and digest-equal.
     """
-    reference = run_cell_once(cell, scheduler=None, srm_config=srm_config)
+    reference = run_cell_once(cell, scheduler=None)
 
     def run_one(scheduler: Scheduler, variant_seed: int) -> ScheduleOutcome:
         plan = FaultPlan(seed=seed * 100003 + variant_seed) if faults else None
-        return run_cell_once(cell, scheduler, fault_plan=plan, srm_config=srm_config)
+        return run_cell_once(cell, scheduler, fault_plan=plan)
 
     outcomes = explore_cell(run_one, explorer=explorer, schedules=schedules, seed=seed)
 
@@ -550,11 +548,11 @@ def run_verify(
     explorer: str = "random",
     seed: int = 0,
     faults: bool = True,
-    srm_config: SRMConfig | None = None,
     metrics: MetricsRegistry | None = None,
     progress: typing.Callable[[str], None] | None = None,
 ) -> dict[str, typing.Any]:
-    """Run the verification grid; returns the report body (see report.py).
+    """Run the verification grid; returns the report body (the ``body`` of the
+    ``repro-verify-report`` document, see :mod:`repro.envelope`).
 
     ``metrics`` (optional) receives the harness's observability counters:
     ``verify.schedules`` (explored schedules) and ``verify.violations``.
@@ -572,7 +570,6 @@ def run_verify(
             explorer=explorer,
             seed=seed,
             faults=faults,
-            srm_config=srm_config,
         )
         schedules_counter.inc(entry["schedules_explored"])
         violations_counter.inc(entry["violation_count"])

@@ -5,14 +5,13 @@ worker in this module is a top-level function (spawn pickles them by
 qualified name).
 """
 
-import json
 import os
 
 import pytest
 
+from repro import envelope
 from repro.bench.pool import resolve_jobs, run_grid
-from repro.bench.selfbench import SELFBENCH_KIND, kernel_selfbench
-from repro.bench.snapshot import cell_seed, collect_snapshot, write_snapshot
+from repro.bench.snapshot import cell_seed, collect_snapshot
 from repro.bench.sweeps import clear_cache, measure, warm_cache
 from repro.errors import ConfigurationError
 
@@ -111,8 +110,8 @@ def test_snapshot_parallel_is_byte_identical_to_serial(tiny_grid, tmp_path):
     parallel = collect_snapshot(jobs=4, **kwargs)
     serial_path = tmp_path / "serial.json"
     parallel_path = tmp_path / "parallel.json"
-    write_snapshot(str(serial_path), serial)
-    write_snapshot(str(parallel_path), parallel)
+    envelope.write(str(serial_path), serial)
+    envelope.write(str(parallel_path), parallel)
     assert serial_path.read_bytes() == parallel_path.read_bytes()
 
 
@@ -145,30 +144,3 @@ def test_warm_cache_matches_direct_measure():
     assert cached.seconds == direct.seconds
     assert warm_cache([("srm", "barrier", 0, 1, 2)], jobs=1) == 0  # cache hit
     clear_cache()
-
-
-# -- kernel self-benchmark --------------------------------------------------
-
-
-def test_kernel_selfbench_document_shape():
-    document = kernel_selfbench(width=4, rounds=40, repeats=2)
-    assert document["kind"] == SELFBENCH_KIND
-    assert document["events"] > 0
-    assert document["events_per_second"] > 0
-    assert len(document["runs"]) == 2
-    # The workload is deterministic: every repeat drains the same events.
-    assert len({run["events"] for run in document["runs"]}) == 1
-    json.dumps(document)  # must serialize as-is
-
-
-def test_cli_bench_self_writes_artifact(tmp_path, capsys):
-    from repro.cli import main
-
-    target = tmp_path / "KERNEL_selfbench.json"
-    code = main(["bench", "--self", "--json-out", str(target)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "events/s" in out
-    document = json.loads(target.read_text())
-    assert document["kind"] == SELFBENCH_KIND
-    assert document["events_per_second"] > 0

@@ -4,17 +4,14 @@ import json
 
 import pytest
 
+from repro import envelope
 from repro.bench.snapshot import (
     bench_sizes as snapshot_sizes,
 )
 from repro.bench.snapshot import (
-    SCHEMA_VERSION,
-    SNAPSHOT_KIND,
     capture_cell,
     cell_key,
     collect_snapshot,
-    load_snapshot,
-    write_snapshot,
 )
 from repro.cli import main
 from repro.errors import ConfigurationError
@@ -78,8 +75,8 @@ def test_collect_snapshot_document_shape(tiny_grid):
     snapshot = collect_snapshot(
         label="t", operations=("barrier", "reduce"), stacks=("srm",), tasks_per_node=2
     )
-    assert snapshot["kind"] == SNAPSHOT_KIND
-    assert snapshot["schema_version"] == SCHEMA_VERSION
+    assert snapshot["kind"] == envelope.SNAPSHOT
+    assert snapshot["schema_version"] == envelope.KINDS[envelope.SNAPSHOT].version
     assert snapshot["label"] == "t"
     assert snapshot["grid"]["operations"] == ["barrier", "reduce"]
     # barrier is sized once (nbytes=0); reduce once per size.
@@ -112,30 +109,13 @@ def test_collect_snapshot_reports_progress(tiny_grid):
 # -- persistence ------------------------------------------------------------
 
 
-def test_write_load_roundtrip(tiny_grid, tmp_path):
-    snapshot = collect_snapshot(operations=("barrier",), stacks=("srm",),
-                                tasks_per_node=2)
-    target = tmp_path / "BENCH_t.json"
-    write_snapshot(str(target), snapshot)
-    assert load_snapshot(str(target)) == snapshot
-    # Serialization is byte-stable: write twice, compare bytes.
-    again = tmp_path / "BENCH_u.json"
-    write_snapshot(str(again), snapshot)
-    assert target.read_bytes() == again.read_bytes()
-
-
-def test_load_rejects_non_snapshot(tmp_path):
-    stray = tmp_path / "stray.json"
-    stray.write_text(json.dumps({"rows": []}))
-    with pytest.raises(ConfigurationError):
-        load_snapshot(str(stray))
-
-
 def test_load_rejects_missing_fields(tmp_path):
     crippled = tmp_path / "crippled.json"
-    crippled.write_text(json.dumps({"kind": SNAPSHOT_KIND, "cells": []}))
-    with pytest.raises(ConfigurationError):
-        load_snapshot(str(crippled))
+    crippled.write_text(
+        json.dumps({"kind": envelope.SNAPSHOT, "schema_version": 1, "cells": []})
+    )
+    with pytest.raises(ConfigurationError, match="missing label, identity, fingerprint"):
+        envelope.load(str(crippled), envelope.SNAPSHOT)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -147,6 +127,6 @@ def test_cli_bench_writes_snapshot(tiny_grid, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "wrote" in out and "cells" in out
-    snapshot = load_snapshot(str(target))
+    snapshot = envelope.load(str(target), envelope.SNAPSHOT)
     assert snapshot["label"] == "head"
     assert all(cell["operation"] == "barrier" for cell in snapshot["cells"])

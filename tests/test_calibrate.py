@@ -12,11 +12,10 @@ import json
 
 import pytest
 
+from repro import envelope
 from repro.bench.figures import calibration_scatter
 from repro.errors import ConfigurationError
 from repro.obs.calib import (
-    CALIBRATION_KIND,
-    CALIBRATION_SCHEMA_VERSION,
     QUICK_SIZES,
     SCORECARD_POLICIES,
     DecisionRecord,
@@ -46,8 +45,8 @@ def report():
 
 
 def test_report_shape_and_cells(report):
-    assert report["kind"] == CALIBRATION_KIND
-    assert report["schema_version"] == CALIBRATION_SCHEMA_VERSION
+    assert report["kind"] == envelope.CALIBRATION_REPORT
+    assert report["schema_version"] == envelope.KINDS[envelope.CALIBRATION_REPORT].version
     assert report["label"] == "test"
     assert report["fingerprint"]
     assert report["grid"]["sizes"] == [8 * KB, 32 * KB]
@@ -128,16 +127,13 @@ def test_report_is_byte_identical_at_any_jobs_setting(report):
 
 
 def test_external_tuned_table_is_scored_instead_of_grid_winners(report):
-    from repro.core.dispatch import TUNED_TABLE_KIND, TUNED_TABLE_SCHEMA_VERSION
-
     # A deliberately wrong table: pipeline everywhere, including 8 KB where
     # exchange wins. Scoring it must cost regret and drop the grid flag.
-    table = {
-        "kind": TUNED_TABLE_KIND,
-        "schema_version": TUNED_TABLE_SCHEMA_VERSION,
-        "label": "wrong",
-        "table": {"allreduce": {"2": [[1024 * KB, "pipeline"]]}},
-    }
+    table = envelope.stamp(
+        envelope.TUNED_TABLE,
+        "wrong",
+        {"table": {"allreduce": {"2": [[1024 * KB, "pipeline"]]}}},
+    )
     document = collect_calibration(**GRID, tuned_document=table)
     tuned = document["regret"]["tuned"]
     assert tuned["trained_on_grid"] is False
@@ -152,8 +148,6 @@ def test_external_tuned_table_is_scored_instead_of_grid_winners(report):
 def test_validation_rejects_malformed_documents(report):
     with pytest.raises(ConfigurationError):
         validate_calibration_report({"kind": "something-else"})
-    with pytest.raises(ConfigurationError):
-        validate_calibration_report({**report, "schema_version": 999})
     for key in ("cells", "model_error", "crossovers", "headlines"):
         with pytest.raises(ConfigurationError):
             validate_calibration_report({**report, key: []})
@@ -179,7 +173,7 @@ def test_validation_rejects_unknown_operation():
 
 def test_run_calibrate_writes_a_loadable_validated_report(tmp_path, report, monkeypatch):
     # Route the full-grid branch through the micro-grid so the CLI path
-    # (validate -> write_snapshot -> reload) stays test-sized.
+    # (validate -> write -> reload) stays test-sized.
     import repro.obs.calib as calib
 
     def tiny(operations=None, label="calibration", progress=None, jobs=1,
@@ -196,6 +190,42 @@ def test_run_calibrate_writes_a_loadable_validated_report(tmp_path, report, monk
     first = path.read_bytes()
     run_calibrate(out=str(path), label="roundtrip")
     assert path.read_bytes() == first
+
+
+def test_tuned_table_is_rejected_before_any_cell_is_measured(tmp_path, report, monkeypatch):
+    import repro.obs.calib as calib
+
+    def sweep(**kwargs):
+        raise AssertionError("the sweep ran before the tuned table was checked")
+
+    monkeypatch.setattr(calib, "collect_calibration", sweep)
+    path = tmp_path / "not_tuned.json"
+    envelope.write(str(path), report)  # a calibration report, not a table
+    with pytest.raises(ConfigurationError, match="not_tuned.json"):
+        run_calibrate(out=None, quick=True, tuned_table=str(path))
+
+
+def test_stale_tuned_table_warns_and_is_scored(tmp_path, monkeypatch):
+    import repro.obs.calib as calib
+
+    received = []
+
+    def sweep(tuned_document=None, **kwargs):
+        received.append(tuned_document)
+        return collect_calibration(**GRID, tuned_document=tuned_document)
+
+    monkeypatch.setattr(calib, "collect_calibration", sweep)
+    table = envelope.stamp(
+        envelope.TUNED_TABLE, "foreign",
+        {"table": {"allreduce": {"2": [[1024 * KB, "pipeline"]]}}},
+    )
+    table["fingerprint"] = "0" * 12  # measured under another cost model
+    path = tmp_path / "foreign.json"
+    envelope.write(str(path), table)
+    with pytest.warns(UserWarning, match="foreign.json"):
+        document = run_calibrate(out=None, tuned_table=str(path))
+    assert received[0]["fingerprint"] == "0" * 12
+    assert document["regret"]["tuned"]["trained_on_grid"] is False
 
 
 def test_quick_grid_spans_the_paper_switch_points():

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import envelope
 from repro.bench.snapshot import bench_nodes as _bench_nodes
 from repro.bench.snapshot import bench_sizes as _bench_sizes
 from repro.core import (
@@ -24,8 +25,6 @@ from repro.core import (
     TunedPolicy,
 )
 from repro.core.dispatch import (
-    TUNED_TABLE_KIND,
-    TUNED_TABLE_SCHEMA_VERSION,
     SelectionEnv,
     derive_chunks,
     lookup_variant,
@@ -229,12 +228,7 @@ def test_fixed_policy_rejects_unknown_variant():
 
 
 def _tuned_document(table):
-    return {
-        "kind": TUNED_TABLE_KIND,
-        "schema_version": TUNED_TABLE_SCHEMA_VERSION,
-        "label": "test",
-        "table": table,
-    }
+    return envelope.stamp(envelope.TUNED_TABLE, "test", {"table": table})
 
 
 def test_tuned_policy_lookup_and_fallback():
@@ -258,10 +252,6 @@ def test_tuned_policy_lookup_and_fallback():
 
 
 def test_tuned_policy_validates_document():
-    with pytest.raises(ConfigurationError):
-        TunedPolicy({"kind": "something-else"})
-    with pytest.raises(ConfigurationError):
-        TunedPolicy({"kind": TUNED_TABLE_KIND, "schema_version": 999, "table": {"broadcast": {}}})
     with pytest.raises(ConfigurationError):
         TunedPolicy(_tuned_document({}))
     with pytest.raises(ConfigurationError):
@@ -301,11 +291,7 @@ def test_tuned_policy_load_warns_on_fingerprint_mismatch(tmp_path):
 def test_tuned_policy_load_is_silent_when_fingerprint_matches(tmp_path):
     import warnings
 
-    from repro.bench.export import bench_identity, identity_fingerprint
-
     document = _tuned_document({"broadcast": {"4": [[8 * KB, "small"]]}})
-    document["identity"] = bench_identity(tasks_per_node=16)
-    document["fingerprint"] = identity_fingerprint(document["identity"])
     path = tmp_path / "fresh.json"
     path.write_text(json.dumps(document))
     with warnings.catch_warnings():
@@ -503,8 +489,8 @@ def test_tune_dry_run_emits_loadable_table():
     from repro.bench.tune import run_tune
 
     document = run_tune(dry_run=True, operations=("broadcast", "allreduce"))
-    assert document["kind"] == TUNED_TABLE_KIND
-    assert document["schema_version"] == TUNED_TABLE_SCHEMA_VERSION
+    assert document["kind"] == envelope.TUNED_TABLE
+    assert document["schema_version"] == envelope.KINDS[envelope.TUNED_TABLE].version
     assert document["table"]
     policy = TunedPolicy(document)
     _run_allreduce(policy, nbytes=1 * KB)
@@ -523,7 +509,6 @@ def test_tune_cell_skips_structurally_impossible_candidates():
 
 
 def test_tune_writes_snapshot_style_artifact(tmp_path):
-    from repro.bench.snapshot import write_snapshot
     from repro.bench.tune import collect_table
 
     document = collect_table(
@@ -534,7 +519,7 @@ def test_tune_writes_snapshot_style_artifact(tmp_path):
         repeats=1,
     )
     path = tmp_path / "TUNED.json"
-    write_snapshot(str(path), document)
+    envelope.write(str(path), document)
     policy = TunedPolicy.load(str(path))
     assert policy.select(_env("broadcast", 256, 2)) in {"small", "pipelined", "large"}
     assert "fingerprint" in document and "identity" in document

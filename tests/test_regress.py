@@ -6,16 +6,17 @@ import pytest
 
 import json
 
+from repro import envelope
 from repro.bench.regress import (
-    DIFF_KIND,
     SchemaMismatchError,
     compare_snapshots,
     diff_document,
     format_report,
 )
-from repro.bench.snapshot import SCHEMA_VERSION, SNAPSHOT_KIND, write_snapshot
 from repro.cli import main
 from repro.errors import ConfigurationError
+
+SCHEMA_VERSION = envelope.KINDS[envelope.SNAPSHOT].version
 
 
 def make_cell(operation="allreduce", stack="srm", nbytes=1024, nodes=2,
@@ -45,7 +46,7 @@ def make_cell(operation="allreduce", stack="srm", nbytes=1024, nodes=2,
 
 def make_snapshot(cells, label="base", version=SCHEMA_VERSION, identity=None):
     return {
-        "kind": SNAPSHOT_KIND,
+        "kind": envelope.SNAPSHOT,
         "schema_version": version,
         "label": label,
         "identity": identity if identity is not None else {"version": "1.0"},
@@ -154,7 +155,7 @@ def test_diff_document_covers_every_moved_cell():
     report = compare_snapshots(base, cand)
     document = diff_document(base, cand, report)
     json.dumps(document)
-    assert document["kind"] == DIFF_KIND
+    assert document["kind"] == envelope.TRACE_DIFF
     assert document["baseline_label"] == "base"
     assert document["candidate_label"] == "head"
     assert document["ok"] is False
@@ -228,8 +229,8 @@ def test_verbose_report_lists_every_cell():
 def write_pair(tmp_path, base, cand):
     base_path = tmp_path / "BENCH_base.json"
     cand_path = tmp_path / "BENCH_cand.json"
-    write_snapshot(str(base_path), base)
-    write_snapshot(str(cand_path), cand)
+    envelope.write(str(base_path), base)
+    envelope.write(str(cand_path), cand)
     return str(base_path), str(cand_path)
 
 
@@ -267,8 +268,7 @@ def test_cli_regress_diff_out_writes_artifact(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert f"wrote differential trace analysis to {diff_path}" in out
-    document = json.loads(diff_path.read_text())
-    assert document["kind"] == DIFF_KIND
+    document = envelope.load(str(diff_path), envelope.TRACE_DIFF)
     assert document["cells"][0]["status"] == "regression"
 
 

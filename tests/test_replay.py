@@ -8,8 +8,7 @@ The contract under test (:mod:`repro.core.replay`):
   (the differential property test randomizes op, dtype, size, shape, root,
   and invalidation interleavings);
 * ``replay.hits`` / ``replay.misses`` count the cache decisions, and
-  ``SRMConfig(compiled_replay=False)`` — the ``--no-replay`` escape hatch —
-  keeps the engine untouched;
+  ``SRMConfig(compiled_replay=False)`` keeps the engine untouched;
 * ``rebind()`` invalidates cached traces, so post-rebind windows re-record
   against the new buffers instead of replaying stale views;
 * a :class:`~repro.errors.DeadlockError` raised during a *recorded* window

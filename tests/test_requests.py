@@ -198,18 +198,18 @@ def test_persistent_allreduce_and_barrier_plans():
     machine.launch(program)
 
 
-def test_prepare_start_reserves_without_running():
-    """The selfbench's timed path: reservation happens eagerly at
-    prepare_start, the body generator is not consumed."""
+def test_start_reserves_windows_eagerly():
+    """Reservation happens at start(), before the engine runs the body."""
     machine = make_machine()
     srm = SRM(machine)
     task = machine.task(0)
     data = np.zeros(1024, dtype=np.uint8)
     plan = srm.plan_broadcast(task, data, root=0)
-    first, _body1 = plan.prepare_start()
-    second, _body2 = plan.prepare_start()
+    first = plan.start().invocation
+    second = plan.start().invocation
     assert second.bcast_base > first.bcast_base  # windows actually claimed
     assert second.sequence == first.sequence + 1
+    assert machine.engine.events_processed == 0
 
 
 # ---------------------------------------------------------------------------

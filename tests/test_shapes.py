@@ -2,9 +2,10 @@
 
 import pathlib
 
+from repro import envelope
 from repro.bench.export import identity_fingerprint
 from repro.bench.shapes import check_shapes, format_shape_results
-from repro.bench.snapshot import SCHEMA_VERSION, cell_key, load_snapshot
+from repro.bench.snapshot import cell_key
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = REPO_ROOT / "BENCH_seed.json"
@@ -28,8 +29,8 @@ def make_cell(operation, stack, nbytes, nodes, us):
 
 def make_snapshot(cells, srm_config=GOOD_CONFIG):
     return {
-        "kind": "repro-bench-snapshot",
-        "schema_version": SCHEMA_VERSION,
+        "kind": envelope.SNAPSHOT,
+        "schema_version": envelope.KINDS[envelope.SNAPSHOT].version,
         "label": "t",
         "identity": {"srm_config": srm_config},
         "fingerprint": "0" * 12,
@@ -162,15 +163,14 @@ def test_format_shape_results_counts_failures():
 
 
 def test_seed_snapshot_is_committed_and_valid():
-    snapshot = load_snapshot(str(SEED))
-    assert snapshot["schema_version"] == SCHEMA_VERSION
+    snapshot = envelope.load(str(SEED), envelope.SNAPSHOT)
     assert snapshot["fingerprint"] == identity_fingerprint(snapshot["identity"])
     keys = [cell_key(cell) for cell in snapshot["cells"]]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_seed_snapshot_passes_every_shape_claim():
-    snapshot = load_snapshot(str(SEED))
+    snapshot = envelope.load(str(SEED), envelope.SNAPSHOT)
     results = check_shapes(snapshot)
     # The committed grid supports all six claims.
     assert len(results) == 6

@@ -1,22 +1,52 @@
 """Tests for ``python -m repro verify``: report schema, exit codes, smoke."""
 
-import json
-
-import pytest
-
+from repro import envelope
 from repro.cli import main
-from repro.errors import VerificationError
-from repro.verify import build_report, load_report, run_verify, write_report
-from repro.verify.report import (
-    CELL_KEYS,
-    ENVELOPE_KEYS,
-    REPORT_SCHEMA,
-    SCHEMA_VERSION,
-    VERIFY_BODY_KEYS,
-)
+from repro.verify import run_verify
 from repro.verify.runner import Cell
 
 ONE_CELL = [Cell(2, 2, "broadcast", "small", 2048)]
+
+#: Top-level keys every report carries.
+ENVELOPE_KEYS = ("kind", "schema_version", "label", "identity", "fingerprint", "body")
+
+#: Keys every ``verify``-mode body carries.
+VERIFY_BODY_KEYS = (
+    "mode",
+    "explorer",
+    "seed",
+    "faults",
+    "schedules_per_cell",
+    "cells",
+    "totals",
+    "ok",
+)
+
+#: Keys every cell entry carries.
+CELL_KEYS = (
+    "cell",
+    "nodes",
+    "procs",
+    "operation",
+    "regime",
+    "nbytes",
+    "overlap",
+    "explorer",
+    "reference_digest",
+    "reference_error",
+    "schedules_explored",
+    "distinct_signatures",
+    "errors",
+    "divergences",
+    "violations",
+    "violation_count",
+    "faults_injected",
+    "ok",
+)
+
+
+def verify_report(body, label):
+    return envelope.stamp(envelope.VERIFY_REPORT, label, {"body": body})
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +56,13 @@ ONE_CELL = [Cell(2, 2, "broadcast", "small", 2048)]
 
 def test_report_carries_full_golden_schema(tmp_path):
     body = run_verify(ONE_CELL, schedules=4, seed=0)
-    report = build_report(body, label="test")
     path = tmp_path / "report.json"
-    write_report(str(path), report)
-    loaded = load_report(str(path))
+    envelope.write(str(path), verify_report(body, label="test"))
+    loaded = envelope.load(str(path), envelope.VERIFY_REPORT)
 
     assert sorted(loaded) == sorted(ENVELOPE_KEYS)
-    assert loaded["schema"] == REPORT_SCHEMA
-    assert loaded["schema_version"] == SCHEMA_VERSION
+    assert loaded["kind"] == envelope.VERIFY_REPORT
+    assert loaded["schema_version"] == 3
     assert loaded["label"] == "test"
     for key in VERIFY_BODY_KEYS:
         assert key in loaded["body"], key
@@ -48,19 +77,11 @@ def test_report_carries_full_golden_schema(tmp_path):
 def test_report_serialization_is_byte_stable(tmp_path):
     body = run_verify(ONE_CELL, schedules=4, seed=0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(str(a), build_report(body, label="x"))
-    write_report(str(b), build_report(run_verify(ONE_CELL, schedules=4, seed=0), label="x"))
+    envelope.write(str(a), verify_report(body, label="x"))
+    envelope.write(
+        str(b), verify_report(run_verify(ONE_CELL, schedules=4, seed=0), label="x")
+    )
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_load_report_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "something-else", "schema_version": 1}))
-    with pytest.raises(VerificationError):
-        load_report(str(path))
-    path.write_text(json.dumps({"schema": REPORT_SCHEMA, "schema_version": 999}))
-    with pytest.raises(VerificationError):
-        load_report(str(path))
 
 
 def test_report_counts_schedules_and_violations():
@@ -90,7 +111,7 @@ def test_cli_verify_quick_writes_report_and_exits_zero(tmp_path, capsys):
         ]
     )
     assert code == 0
-    report = load_report(str(out))
+    report = envelope.load(str(out), envelope.VERIFY_REPORT)
     assert report["body"]["ok"] is True
     assert report["body"]["totals"]["violations"] == 0
     assert "cells ok" in capsys.readouterr().out
@@ -126,7 +147,7 @@ def test_cli_verify_smoke_passes_and_reports(tmp_path, capsys):
     out = tmp_path / "smoke.json"
     code = main(["verify", "--smoke", "--quiet", "--json-out", str(out)])
     assert code == 0
-    report = load_report(str(out))
+    report = envelope.load(str(out), envelope.VERIFY_REPORT)
     assert report["body"]["mode"] == "mutation-smoke"
     assert report["body"]["ok"] is True
     detected = [m for m in report["body"]["mutations"] if m["detected"]]
