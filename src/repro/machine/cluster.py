@@ -109,7 +109,7 @@ class Task:
 
     def phase(self, name: str, detail: str = "") -> typing.ContextManager:
         """Open a named observability phase span (``with task.phase(...)``)."""
-        return self.obs.phase(self, name, detail)
+        return self.obs.recorder.phase(self, name, detail)
 
     # -- timed data movement -------------------------------------------------
 

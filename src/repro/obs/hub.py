@@ -25,7 +25,6 @@ from repro.obs.monitor import ResourceMonitor
 from repro.obs.spans import PhaseRecorder
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.machine.cluster import Task
     from repro.sim.engine import Engine
 
 __all__ = ["Observability"]
@@ -78,10 +77,6 @@ class Observability:
         self.put_window_depth = m.time_histogram(
             "bcast.put_window_depth", "in-flight streamed puts per forwarder over time"
         )
-
-    def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
-        """Open a named phase span for ``task`` (see :class:`PhaseRecorder`)."""
-        return self.recorder.phase(task, name, detail)
 
     def flow(
         self,

@@ -243,26 +243,53 @@ class FlowStore(_ColumnStore):
         return grouped
 
 
-class _PhaseContext:
-    """Context manager opening/closing one span around a ``yield from``."""
+class _PhaseLane:
+    """The open spans of one simulated process on one rank.
 
-    __slots__ = ("_recorder", "_rank", "_name", "_detail", "_span")
+    The lane is also the context manager of its next span:
+    :meth:`PhaseRecorder.phase` finds the lane, leaves the span's name and
+    detail on it and returns it; ``__enter__`` appends the span's row and
+    pushes its id, ``__exit__`` pops it and writes its end.  A ``with``
+    block enters right after ``phase()`` returns and spans of one process
+    close innermost first, so one object serves every span of the lane and
+    no per-span object is built.
+    """
 
-    def __init__(
-        self, recorder: "PhaseRecorder", rank: int, name: str, detail: str = ""
-    ) -> None:
+    __slots__ = ("_recorder", "_rank", "_track", "_stack", "_name", "_detail")
+
+    def __init__(self, recorder: "PhaseRecorder", rank: int, track: int) -> None:
         self._recorder = recorder
         self._rank = rank
-        self._name = name
-        self._detail = detail
-        self._span = -1
+        #: Export sub-track: 0 for the first process that recorded a phase
+        #: on this rank (the program generator), 1.. for helper processes.
+        self._track = track
+        #: Ids of the open spans, outermost first.
+        self._stack: list[int] = []
+        self._name = ""
+        self._detail = ""
 
     def __enter__(self) -> int:
-        self._span = self._recorder._open_span(self._rank, self._name, self._detail)
-        return self._span
+        recorder = self._recorder
+        spans = recorder.spans
+        stack = self._stack
+        span_id = spans.base + len(spans.name)
+        spans.rank.append(self._rank)
+        spans.name.append(self._name)
+        spans.start.append(recorder.engine._now)
+        spans.depth.append(len(stack))
+        spans.parent.append(stack[-1] if stack else -1)
+        spans.track.append(self._track)
+        spans.detail.append(self._detail)
+        spans.end.append(None)
+        stack.append(span_id)
+        return span_id
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._recorder._close_span(self._rank, self._span)
+        recorder = self._recorder
+        spans = recorder.spans
+        position = self._stack.pop() - spans.base
+        if position >= 0:  # otherwise clear() dropped the span while open
+            spans.end[position] = recorder.engine._now
         return None
 
 
@@ -289,10 +316,8 @@ class PhaseRecorder:
         self.enabled = enabled
         self.spans = SpanStore()
         self.flows = FlowStore()
-        #: Open-span id stacks keyed by (rank, process identity).
-        self._stacks: dict[tuple[int, int], list[int]] = {}
-        #: Export sub-track per (rank, process identity).
-        self._tracks: dict[tuple[int, int], int] = {}
+        #: Span lanes keyed by (rank, process identity).
+        self._lanes: dict[tuple[int, int], _PhaseLane] = {}
         self._next_track: dict[int, int] = {}
 
     # -- recording -----------------------------------------------------------
@@ -300,51 +325,24 @@ class PhaseRecorder:
     def phase(self, task: "Task", name: str, detail: str = "") -> typing.ContextManager:
         """A context manager recording one phase of ``task``.
 
-        Entering it returns the new span's id (``None`` when disabled).
+        Entering it returns the new span's id (``None`` when disabled).  Use
+        it directly in a ``with`` statement: the context is the span lane of
+        the calling process, and it records the name and detail of the
+        latest ``phase()`` call.
         """
         if not self.enabled:
             return _NULL_CONTEXT
-        return _PhaseContext(self, task.rank, name, detail)
-
-    def _open_span(self, rank: int, name: str, detail: str = "") -> int:
-        active = self.engine.active_process
+        rank = task.rank
+        active = self.engine._active_process
         key = (rank, id(active) if active is not None else 0)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = []
-            self._stacks[key] = stack
-        track = self._tracks.get(key)
-        if track is None:
+        lane = self._lanes.get(key)
+        if lane is None:
             track = self._next_track.get(rank, 0)
             self._next_track[rank] = track + 1
-            self._tracks[key] = track
-        spans = self.spans
-        span_id = spans.base + len(spans.name)
-        spans.rank.append(rank)
-        spans.name.append(name)
-        spans.start.append(self.engine.now)
-        spans.depth.append(len(stack))
-        spans.parent.append(stack[-1] if stack else -1)
-        spans.track.append(track)
-        spans.detail.append(detail)
-        spans.end.append(None)
-        stack.append(span_id)
-        return span_id
-
-    def _close_span(self, rank: int, span_id: int) -> None:
-        spans = self.spans
-        position = span_id - spans.base
-        if position >= 0:  # otherwise clear() dropped the span while open
-            spans.end[position] = self.engine.now
-        active = self.engine.active_process
-        key = (rank, id(active) if active is not None else 0)
-        stack = self._stacks.get(key)
-        if stack and stack[-1] == span_id:
-            stack.pop()
-            if not stack:
-                del self._stacks[key]
-        elif stack and span_id in stack:  # pragma: no cover - defensive
-            stack.remove(span_id)
+            lane = self._lanes[key] = _PhaseLane(self, rank, track)
+        lane._name = name
+        lane._detail = detail
+        return lane
 
     def flow(
         self,

@@ -69,6 +69,7 @@ class SharedFlag:
         self.cost = node.machine.cost
         self.obs = node.machine.obs
         self.name = name
+        self._event_name = f"flag:{name}"
         self.kind = kind
         self._value = int(initial)
         self._waiters: list[tuple[Predicate, Event, int | None]] = []
@@ -136,7 +137,7 @@ class SharedFlag:
         ``None`` if it is already true.  No detection cost included."""
         if predicate(self._value):
             return None
-        event = Event(self.engine, name=f"flag:{self.name}")
+        event = Event(self.engine, name=self._event_name)
         self._waiters.append((predicate, event, waiter_rank))
         return event
 

@@ -149,25 +149,24 @@ class Engine:
 
     # -- scheduling -------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {event!r} {delay!r}s in the past")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), event))
+    def call_at(self, when: float, callback: typing.Callable[[Event], None]) -> Timeout:
+        """Run ``callback(timer)`` at absolute time ``when`` (>= now).
 
-    def call_at(self, when: float, callback: typing.Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute time ``when`` (>= now).
-
-        Returns the underlying timeout event; the callback runs when it is
-        processed.  Used by fluid-flow resources to (re)schedule completions.
+        Returns the timer; the callback runs when it is processed.  Used by
+        fluid-flow resources to (re)schedule completions.  Clearing the
+        timer's ``_cb0`` cancels the callback but leaves the timer queued, so
+        cancelling never changes the event stream.
         """
-        if when < self._now:
+        if not when >= self._now:
+            if when != when:
+                raise SimulationError(f"call_at({when!r}) needs a time, got NaN")
             # Tolerate floating-point residue from rate arithmetic; anything
             # beyond rounding noise is a real causality bug.
             if self._now - when > 1e-12 * max(1.0, abs(self._now)):
                 raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
             when = self._now
-        timer = self.timeout(when - self._now, name="call_at")
-        timer.add_callback(lambda _event: callback())
+        timer = Timeout(self, when - self._now, name="call_at")
+        timer._cb0 = callback
         return timer
 
     # -- main loop ---------------------------------------------------------
@@ -260,8 +259,8 @@ class Engine:
                 trace.on_quiescent()
             return None
         deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline!r}) is in the past")
+        if not deadline >= self._now:  # also rejects NaN
+            raise SimulationError(f"run(until={deadline!r}) is in the past or NaN")
         while queue and queue[0][0] <= deadline:
             when, _seq, event = pop(queue)
             if when < self._now:
@@ -281,8 +280,8 @@ class Engine:
         carry a later sequence number and land in a later batch, exactly as
         in the default loops.
         """
-        if deadline is not None and deadline < self._now:
-            raise SimulationError(f"run(until={deadline!r}) is in the past")
+        if deadline is not None and not deadline >= self._now:
+            raise SimulationError(f"run(until={deadline!r}) is in the past or NaN")
         queue = self._queue
         pop = heapq.heappop
         scheduler = self.scheduler

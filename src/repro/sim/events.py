@@ -17,6 +17,7 @@ FIFO order of scheduling, never re-entrantly inside ``succeed()``.
 from __future__ import annotations
 
 import typing
+from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -103,11 +104,15 @@ class Event:
 
     def succeed(self, value: typing.Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value`` after ``delay``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot trigger {self!r} after delay {delay!r}")
         self._ok = True
         self._value = value
-        self.engine._schedule(self, delay)
+        # Queue the event directly: one heap push per triggered event.
+        engine = self.engine
+        heappush(engine._queue, (engine._now + delay, next(engine._sequence), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -117,13 +122,16 @@ class Event:
         process is waiting on it), the exception propagates out of
         :meth:`Engine.run` — silent failures are bugs.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() requires an exception, got {exception!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot trigger {self!r} after delay {delay!r}")
         self._ok = False
         self._value = exception
-        self.engine._schedule(self, delay)
+        engine = self.engine
+        heappush(engine._queue, (engine._now + delay, next(engine._sequence), self))
         return self
 
     def defuse(self) -> None:
@@ -182,13 +190,20 @@ class Timeout(Event):
         value: typing.Any = None,
         name: str | None = None,
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(engine, name=name)
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"negative or NaN timeout delay {delay!r}")
+        # Event.__init__ and the heap push, inlined: timeouts are the
+        # most common event, and each one is queued as soon as it exists.
+        self.engine = engine
+        self.name = name
         self._value = value
-        engine._schedule(self, delay)
+        self._ok = True
+        self._defused = False
+        self._processed = False
+        self._cb0 = None
+        self._cbs = None
+        self.delay = delay
+        heappush(engine._queue, (engine._now + delay, next(engine._sequence), self))
 
 
 class _Condition(Event):

@@ -65,15 +65,25 @@ class Process(Event):
         return self._waiting_on
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator by one step with ``event``'s outcome."""
+        """Advance the generator by one step with ``event``'s outcome.
+
+        The kernel's resume lane: it reads the event's slots directly and
+        attaches itself straight into the target's callback slots (the
+        ``ok``/``value``/``processed`` checks and :meth:`Event.add_callback`,
+        inlined — one resume per process step makes this the hottest
+        callback in the simulator).  The bound method is made afresh for
+        each attach and never stored on the process, so a finished process
+        is freed by reference counting.
+        """
         self._waiting_on = None
-        self.engine._active_process = self
+        engine = self.engine
+        engine._active_process = self
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                event.defuse()
-                target = self._generator.throw(typing.cast(BaseException, event.value))
+                event._defused = True
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -81,7 +91,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.engine._active_process = None
+            engine._active_process = None
 
         if not isinstance(target, Event):
             error = SimulationError(
@@ -91,15 +101,20 @@ class Process(Event):
             # Surface at the process level so joiners see it.
             self.fail(error)
             return
-        if target.processed:
+        if target._processed:
             # Joining something already finished (e.g. an isend that completed
             # before the matching recv returned): mirror its outcome through a
             # fresh zero-delay event so the generator resumes next tick.
-            mirror = Event(self.engine, name=f"join:{target.name}")
-            if target.ok:
-                mirror.succeed(target.value)
+            mirror = Event(engine, name=f"join:{target.name}")
+            if target._ok:
+                mirror.succeed(target._value)
             else:
-                mirror.fail(typing.cast(BaseException, target.value))
+                mirror.fail(target._value)
             target = mirror
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target._cb0 is None:
+            target._cb0 = self._resume
+        elif target._cbs is None:
+            target._cbs = [self._resume]
+        else:
+            target._cbs.append(self._resume)

@@ -18,13 +18,14 @@ modelling ("wait until the target enters a LAPI call").
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
+import operator
 import typing
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 __all__ = ["FifoResource", "SharedBandwidth", "Gate"]
 
@@ -40,6 +41,7 @@ class FifoResource:
         self.name = name
         self._in_use = 0
         self._waiting: list[Event] = []
+        self._grant_name = f"grant:{name}"
         monitor = engine.monitor
         self._timeline = monitor.register(name, "fifo") if monitor is not None else None
 
@@ -65,7 +67,7 @@ class FifoResource:
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        grant = Event(self.engine, name=f"grant:{self.name}")
+        grant = Event(self.engine, name=self._grant_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed()
@@ -94,13 +96,21 @@ class FifoResource:
 
 
 class _Transfer:
-    __slots__ = ("size", "remaining", "cap", "event")
+    __slots__ = ("seq", "size", "remaining", "cap", "rate", "event")
 
-    def __init__(self, nbytes: float, cap: float, event: Event) -> None:
+    def __init__(self, seq: int, nbytes: float, cap: float, event: Event) -> None:
+        #: Arrival order on the link; completions fire in this order.
+        self.seq = seq
         self.size = float(nbytes)
         self.remaining = float(nbytes)
         self.cap = cap
+        #: Water-filling share, set by each reschedule.
+        self.rate = 0.0
         self.event = event
+
+
+_BY_CAP = operator.attrgetter("cap")
+_BY_ARRIVAL = operator.attrgetter("seq")
 
 
 class SharedBandwidth:
@@ -109,7 +119,12 @@ class SharedBandwidth:
     All active transfers progress simultaneously; each receives a
     water-filling share of the link rate, never exceeding its own per-transfer
     cap.  Membership changes (a transfer joining or completing) re-divide the
-    rate instantly.
+    rate instantly: the water-fill runs once per change, in
+    :meth:`_reschedule`, and :meth:`_settle` advances progress at those
+    rates.  A wake-up superseded by a later change is cancelled by clearing
+    its callback; it stays queued and fires through the engine's
+    callback-free lane, so the event stream (sequence numbers and
+    ``events_processed``) is the same as if it had run and returned.
     """
 
     #: Residual-byte tolerance when deciding a transfer has completed.
@@ -121,10 +136,13 @@ class SharedBandwidth:
         self.engine = engine
         self.rate = float(rate)
         self.name = name
-        self._active: dict[int, _Transfer] = {}
-        self._ids = itertools.count()
+        #: Active transfers in cap order; equal caps keep arrival order.
+        self._active: list[_Transfer] = []
+        self._arrivals = 0
         self._last_settled = engine.now
-        self._wake_version = 0
+        #: The pending wake-up timer, if any.
+        self._wake_timer: Timeout | None = None
+        self._xfer_name = f"xfer:{name}"
         #: Total bytes ever completed through this link (for audits/tests).
         self.bytes_transferred = 0.0
         monitor = engine.monitor
@@ -142,84 +160,84 @@ class SharedBandwidth:
 
         ``max_rate`` caps this transfer's share (e.g. one CPU's copy speed).
         """
-        if nbytes < 0:
+        if not 0 <= nbytes < math.inf:  # also rejects NaN
             raise SimulationError(f"cannot transfer {nbytes} bytes")
-        done = Event(self.engine, name=f"xfer:{self.name}")
+        done = Event(self.engine, name=self._xfer_name)
         if nbytes == 0:
             done.succeed()
             return done
-        cap = float("inf") if max_rate is None else float(max_rate)
-        if cap <= 0:
+        cap = math.inf if max_rate is None else float(max_rate)
+        if not cap > 0:  # also rejects NaN
             raise SimulationError(f"max_rate must be positive, got {max_rate}")
         self._settle()
-        self._active[next(self._ids)] = _Transfer(nbytes, cap, done)
+        # Insert after every equal cap: the list stays in the order a stable
+        # sort by cap gives over arrival order.
+        transfer = _Transfer(self._arrivals, nbytes, cap, done)
+        bisect.insort_right(self._active, transfer, key=_BY_CAP)
+        self._arrivals += 1
         self._reschedule()
         return done
 
     # -- fluid-flow internals ---------------------------------------------
-
-    def _allocations(self) -> dict[int, float]:
-        """Water-filling rate allocation over the active transfers."""
-        allocations: dict[int, float] = {}
-        budget = self.rate
-        # Process in increasing cap order: once the tightest caps are paid
-        # out, the rest share the remainder equally.
-        pending = sorted(self._active.items(), key=lambda item: item[1].cap)
-        count = len(pending)
-        for transfer_id, transfer in pending:
-            share = budget / count
-            allocation = min(transfer.cap, share)
-            allocations[transfer_id] = allocation
-            budget -= allocation
-            count -= 1
-        return allocations
 
     def _settle(self) -> None:
         """Advance every active transfer's progress to the current time."""
         now = self.engine.now
         elapsed = now - self._last_settled
         self._last_settled = now
-        if elapsed <= 0 or not self._active:
+        if elapsed <= 0:
             return
-        allocations = self._allocations()
-        for transfer_id, transfer in self._active.items():
-            transfer.remaining -= allocations[transfer_id] * elapsed
+        for transfer in self._active:
+            transfer.remaining -= transfer.rate * elapsed
 
     def _complete_finished(self) -> None:
-        finished = [
-            transfer_id
-            for transfer_id, transfer in self._active.items()
-            if transfer.remaining <= self.EPSILON
-        ]
-        for transfer_id in finished:
-            transfer = self._active.pop(transfer_id)
+        epsilon = self.EPSILON
+        finished = [transfer for transfer in self._active if transfer.remaining <= epsilon]
+        if not finished:
+            return
+        self._active = [transfer for transfer in self._active if transfer.remaining > epsilon]
+        finished.sort(key=_BY_ARRIVAL)  # complete in arrival order
+        for transfer in finished:
             self.bytes_transferred += transfer.size
             transfer.event.succeed()
 
     def _reschedule(self) -> None:
-        """(Re)arm the wake-up for the earliest upcoming completion."""
-        self._wake_version += 1
+        """Re-divide the link and (re)arm the wake-up for the next completion."""
+        engine = self.engine
+        wake = self._wake_timer
+        if wake is not None:
+            wake._cb0 = None  # superseded: stays queued, fires callback-free
+            self._wake_timer = None
+        active = self._active
         timeline = self._timeline
-        if not self._active:
+        if not active:
             if timeline is not None:
-                timeline.record(self.engine.now, 0, 0, False)
+                timeline.record(engine.now, 0, 0, False)
             return
-        allocations = self._allocations()
+        # Water-filling in increasing cap order: once the tightest caps are
+        # paid out, the rest share the remainder equally.
+        budget = self.rate
+        count = len(active)
+        next_completion = math.inf
+        for transfer in active:
+            share = budget / count
+            cap = transfer.cap
+            rate = cap if cap < share else share
+            transfer.rate = rate
+            budget -= rate
+            count -= 1
+            finish = transfer.remaining / rate
+            if finish < next_completion:
+                next_completion = finish
         if timeline is not None:
             # Saturated: the water-filling pass spent the whole link rate,
             # so at least one transfer's share is squeezed below its cap.
-            saturated = sum(allocations.values()) >= self.rate * (1.0 - 1e-9)
-            timeline.record(self.engine.now, len(self._active), 0, saturated)
-        next_completion = min(
-            transfer.remaining / allocations[transfer_id]
-            for transfer_id, transfer in self._active.items()
-        )
-        version = self._wake_version
-        self.engine.call_at(self.engine.now + next_completion, lambda: self._wake(version))
+            saturated = sum([transfer.rate for transfer in active]) >= self.rate * (1.0 - 1e-9)
+            timeline.record(engine.now, len(active), 0, saturated)
+        self._wake_timer = engine.call_at(engine.now + next_completion, self._wake)
 
-    def _wake(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # membership changed since this wake-up was armed
+    def _wake(self, _event: Event) -> None:
+        self._wake_timer = None
         self._settle()
         self._complete_finished()
         self._reschedule()
@@ -240,6 +258,7 @@ class Gate:
         self.name = name
         self._open = bool(open)
         self._waiting: list[Event] = []
+        self._gate_name = f"gate:{name}"
         monitor = engine.monitor
         self._timeline = monitor.register(name, "gate") if monitor is not None else None
 
@@ -256,7 +275,7 @@ class Gate:
 
     def wait(self) -> Event:
         """Event that fires when the gate is (or becomes) open."""
-        passed = Event(self.engine, name=f"gate:{self.name}")
+        passed = Event(self.engine, name=self._gate_name)
         if self._open:
             passed.succeed()
         else:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine core."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -99,7 +102,7 @@ def test_peek_reports_next_event_time():
 def test_call_at_runs_callback_at_time():
     engine = Engine()
     stamps = []
-    engine.call_at(2.0, lambda: stamps.append(engine.now))
+    engine.call_at(2.0, lambda _timer: stamps.append(engine.now))
     engine.run()
     assert stamps == [2.0]
 
@@ -107,7 +110,7 @@ def test_call_at_runs_callback_at_time():
 def test_call_at_in_past_raises():
     engine = Engine(start_time=10.0)
     with pytest.raises(SimulationError):
-        engine.call_at(5.0, lambda: None)
+        engine.call_at(5.0, lambda _timer: None)
 
 
 def test_events_processed_counter():
@@ -267,3 +270,59 @@ def test_determinism_same_program_same_trace():
         return trace
 
     assert trace_run() == trace_run()
+
+
+NAN = float("nan")
+
+
+def test_nan_timeout_rejected():
+    engine = Engine()
+    with pytest.raises(SimulationError, match="nan"):
+        engine.timeout(NAN)
+    assert engine.peek() == float("inf")
+
+
+def test_nan_trigger_delay_rejected():
+    engine = Engine()
+    event = engine.event()
+    with pytest.raises(SimulationError, match="nan"):
+        event.succeed(delay=NAN)
+    with pytest.raises(SimulationError, match="nan"):
+        event.fail(RuntimeError("boom"), delay=NAN)
+    # Nothing was queued and the event can still be triggered.
+    assert not event.triggered and engine.peek() == float("inf")
+    event.succeed(delay=1.0)
+    engine.run()
+    assert engine.now == 1.0
+
+
+def test_nan_deadlines_rejected():
+    engine = Engine()
+    engine.timeout(1.0)
+    with pytest.raises(SimulationError, match="nan"):
+        engine.run(until=NAN)
+    with pytest.raises(SimulationError, match="nan"):
+        engine.call_at(NAN, lambda _timer: None)
+    assert engine.now == 0.0
+
+
+def test_finished_process_is_freed_by_reference_counting():
+    # The resume lane attaches a fresh bound method per step and keeps none
+    # on the process, so no reference cycle outlives the run.
+    engine = Engine()
+
+    def program():
+        yield engine.timeout(1.0)
+        yield engine.timeout(1.0)
+        return "done"
+
+    process = engine.process(program())
+    ref = weakref.ref(process)
+    gc.disable()
+    try:
+        engine.run()
+        assert process.value == "done"
+        del process
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -207,7 +207,7 @@ def test_water_filling_fairness_under_mixed_caps():
     link.transfer(1000.0, max_rate=10.0)
     link.transfer(1000.0)
     link.transfer(1000.0)
-    assert sorted(link._allocations().values()) == pytest.approx([10.0, 45.0, 45.0])
+    assert sorted(transfer.rate for transfer in link._active) == pytest.approx([10.0, 45.0, 45.0])
 
 
 def test_water_filling_pays_tight_caps_first():
@@ -218,7 +218,7 @@ def test_water_filling_pays_tight_caps_first():
     link.transfer(1000.0)
     # Caps below the equal share are paid out in full; the uncapped transfer
     # absorbs everything they leave on the table (not just 100/3).
-    assert sorted(link._allocations().values()) == pytest.approx([10.0, 20.0, 70.0])
+    assert sorted(transfer.rate for transfer in link._active) == pytest.approx([10.0, 20.0, 70.0])
 
 
 def test_mixed_cap_transfers_complete_at_fair_share_times():
@@ -406,3 +406,14 @@ def test_gate_close_only_affects_future_waiters():
     assert not blocked.triggered
     gate.open()
     assert blocked.triggered
+
+
+def test_non_finite_transfer_rejected():
+    engine = Engine()
+    link = SharedBandwidth(engine, rate=100.0)
+    for nbytes in (float("nan"), float("inf")):
+        with pytest.raises(SimulationError, match=f"{nbytes}"):
+            link.transfer(nbytes)
+    with pytest.raises(SimulationError, match="nan"):
+        link.transfer(1.0, max_rate=float("nan"))
+    assert link.active_transfers == 0 and engine.peek() == float("inf")
